@@ -87,7 +87,10 @@ class Domain:
     def wrap(self, points):
         pts = np.asarray(points, dtype=float)
         if self.geometry == TORUS:
-            return np.mod(pts, self.size)
+            # np.mod rounds a tiny negative coordinate up to size itself
+            out = np.mod(pts, self.size)
+            out[out == self.size] = 0.0
+            return out
         return pts
 
     def displacement(self, a, b):
@@ -188,7 +191,7 @@ class Configuration:
         if self.domain.dimension == 1:
             # sorted gaps suffice in one dimension (plus the wrap-around gap)
             flat = np.sort(self.points[:, 0])
-            gap = float(np.min(np.diff(flat)))
+            gap = float((flat[1:] - flat[:-1]).min())
             if self.domain.geometry == TORUS:
                 gap = min(gap, self.domain.size - float(flat[-1] - flat[0]))
             return gap

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .configuration import (
     BALL,
@@ -71,7 +72,11 @@ def label_noise(seed: int, step: int, labels, d: int, round_key: int = 0) -> np.
 
 @dataclass(frozen=True)
 class SimParams:
-    """Integrator parameters; cell_size None means all-pairs forces."""
+    """Integrator parameters.
+
+    cell_size is the neighbour-search radius for pair forces and must be
+    >= r_cut; None sums over all pairs. Both give the same bits.
+    """
 
     dt: float = 1e-3
     t_end: float = 1.0
@@ -138,119 +143,80 @@ def _canonical_slot_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(points.T[::-1])
 
 
-def _candidate_pairs_cells(points: np.ndarray, domain: Domain, cell_size: float):
-    """Ordered candidate pairs (i, j), i != j, from a cell decomposition.
+_ALL_PAIRS_CACHE: dict[int, tuple] = {}
 
-    Every pair within cell_size is a candidate; candidates beyond the cutoff
-    are filtered later exactly as in the all-pairs route.
+
+def _close_pairs(points: np.ndarray, domain: Domain, radius: float | None):
+    """Ordered pairs (i, j), i != j, sorted by i then j, of every pair within
+    radius; all pairs when radius is None.
+
+    The search radius is padded so the tree's own rounding never drops a
+    pair; callers apply their exact cutoff with Domain.displacement.
     """
-    n, d = points.shape
-    if domain.geometry == TORUS:
-        n_cells = max(1, int(domain.size / cell_size))
-        length = domain.size / n_cells
-        coords = np.floor(points / length).astype(int) % n_cells
-        wrap = True
-    else:
-        lo = points.min(axis=0)
-        span = float(np.max(points.max(axis=0) - lo))
-        # floor keeps every cell at least cell_size wide
-        n_cells = max(1, int(span / cell_size))
-        length = max(span, cell_size) / n_cells + 1e-12
-        coords = np.minimum(np.floor((points - lo) / length).astype(int), n_cells - 1)
-        wrap = False
-
-    def cell_id(c):
-        out = np.zeros(c.shape[0], dtype=np.int64)
-        for a in range(d):
-            out = out * n_cells + c[:, a]
-        return out
-
-    ids = cell_id(coords)
-    members: dict[int, list[int]] = {}
-    for idx, cid in enumerate(ids):
-        members.setdefault(int(cid), []).append(idx)
-
-    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij")).reshape(d, -1).T
-    pair_i, pair_j = [], []
-    for cid, own in members.items():
-        base = np.array(np.unravel_index(cid, (n_cells,) * d))
-        neigh_ids = set()
-        for off in offsets:
-            c = base + off
-            if wrap:
-                c = c % n_cells
-            elif np.any(c < 0) or np.any(c >= n_cells):
-                continue
-            neigh_ids.add(int(np.ravel_multi_index(tuple(c), (n_cells,) * d)))
-        partners = []
-        for nid in neigh_ids:
-            partners.extend(members.get(nid, ()))
-        for i in own:
-            for j in partners:
-                if i != j:
-                    pair_i.append(i)
-                    pair_j.append(j)
-    return np.asarray(pair_i, dtype=int), np.asarray(pair_j, dtype=int)
+    if radius is None:
+        n = points.shape[0]
+        pairs = _ALL_PAIRS_CACHE.get(n)
+        if pairs is None:
+            pairs = np.nonzero(~np.eye(n, dtype=bool))
+            for index in pairs:
+                index.setflags(write=False)
+            _ALL_PAIRS_CACHE[n] = pairs
+        return pairs
+    box = domain.size if domain.geometry == TORUS else None
+    half = cKDTree(points, boxsize=box).query_pairs(radius * (1 + 1e-9),
+                                                    output_type="ndarray")
+    i = np.concatenate([half[:, 0], half[:, 1]])
+    j = np.concatenate([half[:, 1], half[:, 0]])
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
 
-_OFFDIAG_CACHE: dict[int, np.ndarray] = {}
+def _drift(points: np.ndarray, domain: Domain, potentials: PotentialSpec,
+           cell_size: float | None):
+    """Drift -1/2 grad Phi - 1/2 sum_j grad Psi, cutoff at r_cut, and the
+    capped-force counter.
 
-
-def _offdiag(n: int) -> np.ndarray:
-    mask = _OFFDIAG_CACHE.get(n)
-    if mask is None:
-        mask = ~np.eye(n, dtype=bool)
-        mask.setflags(write=False)
-        _OFFDIAG_CACHE[n] = mask
-    return mask
-
-
-def _pair_drift(points: np.ndarray, domain: Domain, potentials: PotentialSpec,
-                cell_size: float | None):
-    """Pair part of the drift and the capped-force counter.
-
-    Both the all-pairs and the cell-list route fill the same (N, N, d)
-    contribution array and reduce it in one canonical column order, so the two
-    are bit-identical and the sum is invariant under slot relabeling.
+    Pairs are indexed by canonical (lexicographic) rank and sorted by (i, j),
+    and bincount adds each particle's terms one at a time in that order, so
+    every search radius >= r_cut gives the same bits and the sum is invariant
+    under slot relabeling.
     """
+    if cell_size is not None and potentials.has_pair and cell_size < potentials.r_cut:
+        raise ConfigError("cell_size must be >= r_cut")
+    drift = -0.5 * potentials.phi_gradient(points)
     n, d = points.shape
-    contrib = np.zeros((n, n, d))
-    capped = 0
-    if n > 1 and potentials.has_pair:
-        if cell_size is None:
-            diff = domain.displacement(points[:, None, :], points[None, :, :])
-            dist = np.sqrt((diff * diff).sum(axis=-1))
-            mask = (dist <= potentials.r_cut) & _offdiag(n)
-            factor, capped = potentials.pair_gradient_factor(dist[mask])
-            contrib[mask] = -0.5 * factor[:, None] * diff[mask]
-        else:
-            pi, pj = _candidate_pairs_cells(points, domain, cell_size)
-            if pi.size:
-                diff = domain.displacement(points[pi], points[pj])
-                dist = np.sqrt(np.sum(diff * diff, axis=-1))
-                keep = dist <= potentials.r_cut
-                pi, pj, diff, dist = pi[keep], pj[keep], diff[keep], dist[keep]
-                factor, capped = potentials.pair_gradient_factor(dist)
-                contrib[pi, pj] = -0.5 * factor[:, None] * diff
-    order = _canonical_slot_order(points)
-    return contrib[:, order, :].sum(axis=1), capped
+    if n < 2 or not potentials.has_pair:
+        return drift, 0
+    slots = _canonical_slot_order(points)
+    canon = points[slots]
+    i, j = _close_pairs(canon, domain, cell_size)
+    diff = domain.displacement(canon[i], canon[j])
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    keep = (dist <= potentials.r_cut).nonzero()[0]
+    if keep.size < dist.size:
+        i, diff, dist = i[keep], diff[keep], dist[keep]
+    factor, capped = potentials.pair_gradient_factor(dist)
+    force = -0.5 * factor[:, None] * diff
+    for a in range(d):
+        drift[slots, a] += np.bincount(i, weights=force[:, a], minlength=n)
+    return drift, capped
 
 
 def compute_drift(state: LabeledState, potentials: PotentialSpec,
                   cell_size: float | None = None) -> np.ndarray:
     """Per-particle drift -1/2 grad Phi - 1/2 sum_j grad Psi, cutoff at r_cut.
 
-    Raises Overlap when hard-core particles already overlap on input.
+    cell_size None sums over all pairs; a number is the neighbour-search
+    radius and must be >= r_cut. Both give the same bits. Raises Overlap when
+    hard-core particles already overlap on input.
     """
-    points = state.points
     if potentials.has_hard_core and len(state) > 1:
         if state.configuration().min_pair_distance() < potentials.hard_core_sigma:
             raise Overlap("hard-core particles overlap on input")
-    drift = -0.5 * potentials.phi_gradient(points)
-    pair, capped = _pair_drift(points, state.domain, potentials, cell_size)
+    drift, capped = _drift(state.points, state.domain, potentials, cell_size)
     if capped:
         warnings.warn(f"{capped} pair forces capped at the short-range floor")
-    return drift + pair
+    return drift
 
 
 def _apply_boundary(points: np.ndarray, domain: Domain) -> np.ndarray:
@@ -272,30 +238,22 @@ def _apply_boundary(points: np.ndarray, domain: Domain) -> np.ndarray:
     return points
 
 
-def _min_pair_distance(points: np.ndarray, domain: Domain) -> float:
-    if points.shape[0] < 2:
-        return math.inf
-    diff = domain.displacement(points[:, None, :], points[None, :, :])
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    return float(np.min(dist[np.triu_indices(points.shape[0], k=1)]))
-
-
 def _reflect_hard_core(points: np.ndarray, domain: Domain, sigma: float):
     out = points.copy()
+    # the first offending pair in (i, j) order always has i < j
+    i, j = _close_pairs(out, domain, None)
     for _ in range(64):
-        diff = domain.displacement(out[:, None, :], out[None, :, :])
+        diff = domain.displacement(out[i], out[j])
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        iu = np.triu_indices(out.shape[0], k=1)
-        bad = dist[iu] < sigma
-        if not np.any(bad):
+        bad = np.flatnonzero(dist < sigma)
+        if not bad.size:
             return out
-        i = iu[0][bad][0]
-        j = iu[1][bad][0]
-        r = dist[i, j]
-        unit = diff[i, j] / r if r > 0 else np.eye(out.shape[1])[0]
+        k = bad[0]
+        r = dist[k]
+        unit = diff[k] / r if r > 0 else np.eye(out.shape[1])[0]
         push = 0.5 * (sigma - r)
-        out[i] += push * unit
-        out[j] -= push * unit
+        out[i[k]] += push * unit
+        out[j[k]] -= push * unit
         out = _apply_boundary(out, domain)
     raise StepRejected("pairwise reflection did not resolve hard-core overlaps")
 
@@ -305,9 +263,6 @@ class _Stepper:
 
     def __init__(self, domain: Domain, potentials: PotentialSpec, params: SimParams,
                  stream_labels=None):
-        if params.cell_size is not None and potentials.has_pair:
-            if math.isfinite(potentials.r_cut) and params.cell_size < potentials.r_cut:
-                raise ConfigError("cell_size must be >= r_cut")
         self.domain = domain
         self.potentials = potentials
         self.params = params
@@ -316,22 +271,14 @@ class _Stepper:
         self.halvings = 0
         self.min_gap = math.inf  # over every accepted update, not just snapshots
 
-    def _drift(self, points: np.ndarray) -> np.ndarray:
-        drift = -0.5 * self.potentials.phi_gradient(points)
-        if self.potentials.has_pair:
-            pair, capped = _pair_drift(points, self.domain, self.potentials,
-                                       self.params.cell_size)
-            self.capped += capped
-            drift = drift + pair
-        return drift
-
     def advance(self, points, unwrapped, step_index, dt=None, noise_key=0, depth=0):
         params = self.params
         dt = params.dt if dt is None else dt
         n, d = points.shape
         streams = self.stream_labels if self.stream_labels is not None else n
         sigma = self.potentials.hard_core_sigma
-        drift = self._drift(points)
+        drift, capped = _drift(points, self.domain, self.potentials, params.cell_size)
+        self.capped += capped
         sqrt_dt = math.sqrt(dt)
         for attempt in range(max(1, params.max_retries)):
             key = noise_key * 131 + attempt
@@ -339,13 +286,14 @@ class _Stepper:
             proposal = _apply_boundary(points + incr, self.domain)
             if not self.potentials.has_hard_core or n < 2:
                 return proposal, unwrapped + incr
-            gap = _min_pair_distance(proposal, self.domain)
+            gap = Configuration(proposal, self.domain, validate=False).min_pair_distance()
             if gap >= sigma:
                 self.min_gap = min(self.min_gap, gap)
                 return proposal, unwrapped + incr
             if params.hard_core_mode == "reflect":
                 resolved = _reflect_hard_core(proposal, self.domain, sigma)
-                self.min_gap = min(self.min_gap, _min_pair_distance(resolved, self.domain))
+                gap = Configuration(resolved, self.domain, validate=False).min_pair_distance()
+                self.min_gap = min(self.min_gap, gap)
                 return resolved, unwrapped + incr + (resolved - proposal)
         if depth >= 8:
             raise StepRejected("hard-core rejection exhausted retries and halvings")
@@ -385,7 +333,7 @@ def simulate(initial: LabeledState, potentials: PotentialSpec,
     domain = initial.domain
     stepper = _Stepper(domain, potentials, params, stream_labels)
     if potentials.has_hard_core and len(initial) > 1:
-        if _min_pair_distance(initial.points, domain) < potentials.hard_core_sigma:
+        if initial.configuration().min_pair_distance() < potentials.hard_core_sigma:
             raise Overlap("hard-core particles overlap in the initial state")
 
     n_steps = int(round(params.t_end / params.dt))

@@ -398,11 +398,3 @@ def write_tsv(path, comments: list[str], columns: list[str], rows) -> None:
         fh.write("\t".join(columns) + "\n")
         for row in rows:
             fh.write("\t".join(str(v) for v in row) + "\n")
-
-
-def max_workers() -> int:
-    """Parallelism cap from IBM_SIM_THREADS (default 1: fully sequential)."""
-    try:
-        return max(1, int(os.environ.get("IBM_SIM_THREADS", "1")))
-    except ValueError:
-        return 1

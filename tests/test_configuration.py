@@ -47,6 +47,15 @@ class TestDomain:
         assert torus.contains([0.0, 4.999])
         assert not torus.contains([5.0])
 
+    def test_wrap_stays_strictly_below_size(self):
+        # np.mod(-1e-18, 8.0) rounds up to 8.0, which is outside [0, 8)
+        torus = Domain(2, "torus", 8.0)
+        wrapped = torus.wrap([[-1e-18, 3.0], [8.0, -8.0], [16.0 - 1e-15, 7.5]])
+        assert np.all(wrapped >= 0.0) and np.all(wrapped < 8.0)
+        assert torus.contains(wrapped)
+        assert np.array_equal(wrapped[:2], [[0.0, 3.0], [0.0, 0.0]])
+        assert wrapped[2, 1] == 7.5
+
     def test_volume(self):
         assert Domain(3, "torus", 2.0).volume == pytest.approx(8.0)
         assert Domain(2, "ball", 3.0).volume == pytest.approx(math.pi * 9.0)
@@ -79,6 +88,28 @@ class TestConfiguration:
             assert c.is_single() == cp.is_single()
             shifted = translate(c, rng.uniform(0, 5, size=2))
             assert c.is_single() == shifted.is_single()
+
+    @pytest.mark.parametrize("geometry", ["torus", "free", "ball"])
+    def test_min_pair_distance_1d_equals_all_pairs_exactly(self, geometry):
+        # the sorted-gap shortcut must give the bits of the dense all-pairs minimum
+        def all_pairs_min(points, domain):
+            diff = domain.displacement(points[:, None, :], points[None, :, :])
+            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+            return float(np.min(dist[np.triu_indices(points.shape[0], k=1)]))
+
+        rng = np.random.default_rng(11)
+        dom = Domain(1, geometry, 8.0)
+        low = 0.0 if geometry == "torus" else -8.0
+        for _ in range(2000):
+            n = int(rng.integers(2, 12))
+            pts = rng.uniform(low, 8.0, size=(n, 1))
+            if rng.random() < 0.5:
+                # crowd the ends, where the torus wrap-around gap decides
+                k = n // 2
+                offset = rng.uniform(0.0, 1e-3, size=(k, 1))
+                pts[:k] = np.where(rng.random((k, 1)) < 0.5, low + offset, 8.0 - offset)
+            c = Configuration(pts, dom)
+            assert c.min_pair_distance() == all_pairs_min(c.points, dom)
 
     def test_same_points_is_order_free(self):
         a = free1d([2.0, -1.0, 0.5])

@@ -114,15 +114,24 @@ class TestComputeDrift:
         with pytest.raises(Overlap):
             compute_drift(state, pot)
 
-    def test_cell_list_equals_brute_force_exactly(self):
+    @pytest.mark.parametrize("d,geometry", [(d, g) for d in (1, 2, 3)
+                                            for g in ("torus", "free", "ball")])
+    def test_cell_list_equals_brute_force_exactly(self, d, geometry):
         rng = np.random.default_rng(5)
-        dom = Domain(2, "torus", 10.0)
+        dom = Domain(d, geometry, 10.0)
         pot = PotentialSpec(psi="soft_core", psi_strength=1.5, psi_range=0.8, r_cut=2.5)
+        low, high = (0.0, 10.0) if geometry == "torus" else (-5.0, 5.0)
         for n in (2, 17, 64):
-            state = LabeledState(rng.uniform(0, 10, size=(n, 2)), dom)
+            pts = rng.uniform(low, high, size=(n, d))
+            # slots 0 and 1 sit exactly r_cut apart, on the cutoff
+            pts[1] = pts[0]
+            pts[0, 0], pts[1, 0] = 1.0, 3.5
+            state = LabeledState(pts, dom)
             brute = compute_drift(state, pot, cell_size=None)
             cell = compute_drift(state, pot, cell_size=2.5)
             assert np.array_equal(brute, cell)
+            if n == 2:
+                assert brute[0, 0] != 0.0
 
     def test_cell_list_equals_brute_force_on_free_domain(self):
         rng = np.random.default_rng(55)
@@ -151,6 +160,8 @@ class TestComputeDrift:
         state = LabeledState([1.0, 2.0], dom)
         with pytest.raises(ConfigError):
             simulate(state, pot, SimParams(dt=1e-3, t_end=1e-3, cell_size=1.0))
+        with pytest.raises(ConfigError):
+            compute_drift(state, pot, cell_size=1.0)
 
 
 class TestNoise:
