@@ -402,29 +402,28 @@ class CriterionResult:
     extra: dict = field(default_factory=dict)
 
 
-def nonexplosion_criterion(log_rho1, d: int, T: float, R: float,
-                           r_grid=None, decay_factor: float = 1e-12,
-                           trend_window: int = 10) -> CriterionResult:
-    """Evaluate the tail-criterion products on an increasing radius grid.
+_DECAY_FACTOR = 1e-12
+_TREND_WINDOW = 10
+
+
+def nonexplosion_criterion(log_rho1, d: int, T: float, R: float) -> CriterionResult:
+    """Evaluate the tail-criterion products on the radius grid 2^0 ... 2^40.
 
     The product of the intensity mass of the ball of radius r + R with the
     Gaussian tail at r / sqrt((r + R) T) is computed in the log domain.
-    `satisfied` needs the running minimum to fall below decay_factor times
-    the first value while trending down over the last trend_window points
-    (relative thresholds keep the verdict invariant under rescaling rho1),
+    `satisfied` needs the running minimum to fall below 1e-12 times the
+    first value while trending down over the last 10 points (relative
+    thresholds keep the verdict invariant under rescaling rho1),
     `not-satisfied` needs a diverging tail of the curve, anything else is
     `inconclusive`.
     """
-    if r_grid is None:
-        r_grid = 2.0 ** np.arange(0, 41)
-    r = np.asarray(r_grid, dtype=float)
+    r = 2.0 ** np.arange(0, 41)
     log_mass = np.array([log_radial_integral(log_rho1, d, ri + R) for ri in r])
     log_tail = log_ell(r / np.sqrt((r + R) * T))
     log_evidence = log_mass + log_tail
 
-    window = min(trend_window, len(r) - 1)
-    tail_diffs = np.diff(log_evidence[-(window + 1):])
-    decayed = np.min(log_evidence) <= log_evidence[0] + math.log(decay_factor)
+    tail_diffs = np.diff(log_evidence[-(_TREND_WINDOW + 1):])
+    decayed = np.min(log_evidence) <= log_evidence[0] + math.log(_DECAY_FACTOR)
     trending_down = bool(np.all(tail_diffs <= 1e-9))
     trending_up = bool(np.all(tail_diffs >= -1e-9)) and log_evidence[-1] > log_evidence[0]
 
@@ -438,14 +437,14 @@ def nonexplosion_criterion(log_rho1, d: int, T: float, R: float,
 
 
 def nonexplosion_scan(log_rho1, d: int, T_values=(0.25, 0.5, 1.0, 2.0),
-                      R_values=(1.0, 10.0), **kwargs):
+                      R_values=(1.0, 10.0)):
     """Existence scan over T (the criterion quantifies 'there exists T > 0
     such that for each R'); returns the overall verdict and the per-(T, R)
     evidence table."""
     results = {}
     for T in T_values:
         for R in R_values:
-            results[(T, R)] = nonexplosion_criterion(log_rho1, d, T, R, **kwargs)
+            results[(T, R)] = nonexplosion_criterion(log_rho1, d, T, R)
     satisfied_T = [
         T for T in T_values
         if all(results[(T, R)].verdict == "satisfied" for R in R_values)

@@ -23,10 +23,8 @@ from .analysis import (
     pushforward_check,
 )
 from .configuration import label
-from .cylinder import Bump, Gaussian, LinearStatistic, random_cylinder
 from .dynamics import simulate
 from .errors import ConfigError, IbmSimError
-from .forms import check_iota_identity, check_product_formula
 from .persistence import (
     build_domain,
     build_sampler,
@@ -34,6 +32,7 @@ from .persistence import (
     config_sha256,
     load_config,
     manifest,
+    parse_config,
     read_trajectory,
     write_configuration,
     write_manifest,
@@ -41,7 +40,7 @@ from .persistence import (
     write_tsv,
     build_potentials,
 )
-from .pipelines import PIPELINES, run_pipeline
+from .pipelines import PIPELINES, iota_sweep, product_check, run_pipeline
 
 ANALYSIS_KINDS = ("rho1", "rho2", "campbell", "pushforward", "nonexplosion",
                   "msd", "explosion")
@@ -200,44 +199,31 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_check_forms(args) -> int:
+    text = None
     if args.config:
-        cfg = load_config(args.config)
+        text = _read_config_text(args.config)
+        cfg = parse_config(text)
         if "forms" in cfg:
             sec = cfg["forms"]
             args.identity = sec.get("identity", args.identity)
             args.samples = sec.getint("samples", args.samples)
             args.h = sec.getfloat("h", args.h)
-    rng = np.random.default_rng(args.seed)
     started = time.time()
     reports = []
     if args.identity in ("iota", "all"):
-        worst = None
-        for _ in range(args.samples):
-            f = random_cylinder(rng, 1, 1)
-            g = random_cylinder(rng, 1, 1)
-            x = rng.uniform(-1, 1, size=(1, 1))
-            pts = rng.uniform(-1.5, 1.5, size=(int(rng.integers(2, 5)), 1))
-            rep = check_iota_identity(f, g, x, pts, h=args.h)
-            if worst is None or rep.max_residual > worst.max_residual:
-                worst = rep
-        worst.n_samples = args.samples
-        reports.append(worst)
+        reports.append(iota_sweep(np.random.default_rng(args.seed), args.samples, args.h))
     if args.identity in ("product", "all"):
-        from .configuration import Domain
-        from .pointprocess import make_poisson_sampler
-
-        sampler = make_poisson_sampler(Domain(1, "torus", 4.0), 0.8, args.seed + 1)
-        reports.append(check_product_formula(
-            Bump(1.5, 1), LinearStatistic(Gaussian(0.8, [0.5], 0.9)), sampler,
-            n_pointwise=min(args.samples, 200), n_samples=args.samples,
-            h=args.h, seed=args.seed,
-        ))
+        reports.append(product_check(args.seed + 1, args.seed, min(args.samples, 200),
+                                     args.samples, args.h))
     if not reports:
         raise ConfigError(f"unknown identity {args.identity!r}")
     if args.out:
         write_tsv(args.out, [f"ibm-sim check-forms seed={args.seed}"],
                   ["identity", "max_residual", "n_samples", "h", "extra"],
                   [r.tsv_row().split("\t") for r in reports])
+        if text is None:
+            text = f"identity = {args.identity}\nsamples = {args.samples}\nh = {args.h!r}\n"
+        _emit_manifest(args.out, text, args.seed, started)
     for r in reports:
         print(r.tsv_row())
     return 0

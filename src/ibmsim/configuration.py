@@ -122,17 +122,6 @@ def as_points(points, d: int) -> np.ndarray:
     return pts
 
 
-_TRIU_CACHE: dict[int, tuple] = {}
-
-
-def _triu(n: int) -> tuple:
-    pair = _TRIU_CACHE.get(n)
-    if pair is None:
-        pair = np.triu_indices(n, k=1)
-        _TRIU_CACHE[n] = pair
-    return pair
-
-
 class Configuration:
     """Finite unordered point pattern in a domain.
 
@@ -197,7 +186,9 @@ class Configuration:
             return gap
         diff = self.domain.displacement(self.points[:, None, :], self.points[None, :, :])
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        return float(np.min(dist[_triu(n)]))
+        # dist is bitwise symmetric, so its off-diagonal minimum is the upper triangle's
+        np.fill_diagonal(dist, math.inf)
+        return float(dist.min())
 
     def is_single(self, eps: float | None = None) -> bool:
         """True when no two points coincide within eps (default: domain tol)."""

@@ -252,8 +252,13 @@ def _reflect_hard_core(points: np.ndarray, domain: Domain, sigma: float):
         r = dist[k]
         unit = diff[k] / r if r > 0 else np.eye(out.shape[1])[0]
         push = 0.5 * (sigma - r)
-        out[i[k]] += push * unit
-        out[j[k]] -= push * unit
+        a, b = out[i[k]] + push * unit, out[j[k]] - push * unit
+        if np.array_equal(a, out[i[k]]) and np.array_equal(b, out[j[k]]):
+            # the push is below one ulp and would repeat forever: step each
+            # point one ulp apart instead
+            a, b = np.nextafter(a, a + unit), np.nextafter(b, b - unit)
+        out[i[k]] = a
+        out[j[k]] = b
         out = _apply_boundary(out, domain)
     raise StepRejected("pairwise reflection did not resolve hard-core overlaps")
 

@@ -50,37 +50,30 @@ def _tag_of(x, d: int) -> np.ndarray:
     return x.reshape(-1, d)
 
 
-def fd_grad_points(f: CylinderFunction, x, pts, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Central-difference gradient in every background coordinate."""
-    pts = np.atleast_2d(pts)
-    grad = np.zeros_like(pts)
-    work = pts.copy()
-    for i in range(pts.shape[0]):
-        for a in range(pts.shape[1]):
+def _central_diff(value_at, arr, h: float) -> np.ndarray:
+    """Central-difference gradient of value_at(arr) in every entry of arr."""
+    arr = np.atleast_2d(arr)
+    grad = np.zeros_like(arr)
+    work = arr.copy()
+    for i in range(arr.shape[0]):
+        for a in range(arr.shape[1]):
             orig = work[i, a]
             work[i, a] = orig + h
-            up = f.value(x, work)
+            up = value_at(work)
             work[i, a] = orig - h
-            down = f.value(x, work)
+            down = value_at(work)
             work[i, a] = orig
             grad[i, a] = (up - down) / (2.0 * h)
     return grad
+
+
+def fd_grad_points(f: CylinderFunction, x, pts, h: float = DEFAULT_STEP) -> np.ndarray:
+    """Central-difference gradient in every background coordinate."""
+    return _central_diff(lambda work: f.value(x, work), pts, h)
 
 
 def fd_grad_tagged(f: CylinderFunction, x, pts, h: float = DEFAULT_STEP) -> np.ndarray:
-    x = np.atleast_2d(x)
-    grad = np.zeros_like(x)
-    work = x.copy()
-    for i in range(x.shape[0]):
-        for a in range(x.shape[1]):
-            orig = work[i, a]
-            work[i, a] = orig + h
-            up = f.value(work, pts)
-            work[i, a] = orig - h
-            down = f.value(work, pts)
-            work[i, a] = orig
-            grad[i, a] = (up - down) / (2.0 * h)
-    return grad
+    return _central_diff(lambda work: f.value(work, pts), x, h)
 
 
 def gamma_unlabeled(f: CylinderFunction, g: CylinderFunction, config,
@@ -287,16 +280,23 @@ def check_product_formula(phi: SmoothMap, f: CylinderFunction, sampler,
     )
 
 
-def _assignment_values(h_fn: CylinderFunction, x, config, perms) -> list[float]:
+def _assignments(x, config, perms):
+    """Yield (sel, tagged, background) for each permutation sel of the
+    m = k + |s| stacked points: tagged takes the first k of them."""
     pts = _points_of(config)
     tag = _tag_of(x, pts.shape[1])
     k = tag.shape[0]
     all_pts = np.concatenate([tag, pts], axis=0)
-    vals = []
     for perm in perms:
         sel = np.asarray(perm)
-        vals.append(h_fn.value(all_pts[sel[:k]], all_pts[sel[k:]]))
-    return vals
+        q = all_pts[sel]
+        yield sel, q[:k], q[k:]
+
+
+def _exact_perms(m: int, exact_cap: int, what: str):
+    if m > exact_cap:
+        raise TooManyPoints(f"{what} capped at m = {exact_cap}")
+    return itertools.permutations(range(m))
 
 
 def symmetrize(h_fn: CylinderFunction, x, config, mode: str = "exact",
@@ -308,13 +308,11 @@ def symmetrize(h_fn: CylinderFunction, x, config, mode: str = "exact",
     tag = _tag_of(x, pts.shape[1])
     m = tag.shape[0] + pts.shape[0]
     if mode == "exact":
-        if m > exact_cap:
-            raise TooManyPoints(f"exact symmetrization capped at m = {exact_cap}")
-        vals = _assignment_values(h_fn, tag, pts, itertools.permutations(range(m)))
+        perms = _exact_perms(m, exact_cap, "exact symmetrization")
     else:
         rng = np.random.default_rng(seed)
         perms = [rng.permutation(m) for _ in range(n_mc)]
-        vals = _assignment_values(h_fn, tag, pts, perms)
+    vals = [h_fn.value(t, b) for _, t, b in _assignments(tag, pts, perms)]
     first = vals[0]
     if all(v == first for v in vals):
         # already symmetric: averaging identical values must return them bitwise
@@ -323,35 +321,26 @@ def symmetrize(h_fn: CylinderFunction, x, config, mode: str = "exact",
 
 
 class _Symmetrized(CylinderFunction):
-    def __init__(self, h_fn: CylinderFunction, mode: str = "exact", exact_cap: int = 8):
+    def __init__(self, h_fn: CylinderFunction, exact_cap: int = 8):
         self.h_fn = h_fn
-        self.mode = mode
         self.exact_cap = exact_cap
         self.k, self.d = h_fn.k, h_fn.d
 
     def value(self, x, pts):
-        return symmetrize(self.h_fn, x, pts, self.mode, self.exact_cap)
+        return symmetrize(self.h_fn, x, pts, exact_cap=self.exact_cap)
 
     def _grads(self, x, pts):
-        tag = np.atleast_2d(x)
-        pts = np.atleast_2d(pts)
+        pts = _points_of(pts)
+        tag = _tag_of(x, pts.shape[1])
         k = tag.shape[0]
         m = k + pts.shape[0]
-        if m > self.exact_cap:
-            raise TooManyPoints(f"exact symmetrization capped at m = {self.exact_cap}")
-        stacked = np.concatenate([tag, pts], axis=0)
-        out = np.zeros_like(stacked)
-        count = 0
-        for perm in itertools.permutations(range(m)):
-            sel = np.asarray(perm)
-            q = stacked[sel]
-            g = np.concatenate(
-                [self.h_fn.grad_tagged(q[:k], q[k:]), self.h_fn.grad_points(q[:k], q[k:])],
-                axis=0,
+        perms = _exact_perms(m, self.exact_cap, "exact symmetrization")
+        out = np.zeros((m, pts.shape[1]))
+        for sel, t, b in _assignments(tag, pts, perms):
+            out[sel] += np.concatenate(
+                [self.h_fn.grad_tagged(t, b), self.h_fn.grad_points(t, b)], axis=0
             )
-            out[sel] += g
-            count += 1
-        out /= count
+        out /= math.factorial(m)
         return out[:k], out[k:]
 
     def grad_tagged(self, x, pts):
@@ -361,10 +350,9 @@ class _Symmetrized(CylinderFunction):
         return self._grads(x, pts)[1]
 
 
-def symmetrized(h_fn: CylinderFunction, mode: str = "exact",
-                exact_cap: int = 8) -> CylinderFunction:
+def symmetrized(h_fn: CylinderFunction, exact_cap: int = 8) -> CylinderFunction:
     """h as a symmetric function of the underlying point multiset."""
-    return _Symmetrized(h_fn, mode, exact_cap)
+    return _Symmetrized(h_fn, exact_cap)
 
 
 def exchange_energy(h_fn: CylinderFunction, x, config, h: float = DEFAULT_STEP,
@@ -374,17 +362,9 @@ def exchange_energy(h_fn: CylinderFunction, x, config, h: float = DEFAULT_STEP,
     contraction is stated for)."""
     pts = _points_of(config)
     tag = _tag_of(x, pts.shape[1])
-    k = tag.shape[0]
-    m = k + pts.shape[0]
-    if m > exact_cap:
-        raise TooManyPoints(f"exchange energy capped at m = {exact_cap}")
-    all_pts = np.concatenate([tag, pts], axis=0)
-    total = []
-    for perm in itertools.permutations(range(m)):
-        sel = np.asarray(perm)
-        total.append(
-            gamma_k(h_fn, h_fn, all_pts[sel[:k]], all_pts[sel[k:]], h, analytic=analytic)
-        )
+    perms = _exact_perms(tag.shape[0] + pts.shape[0], exact_cap, "exchange energy")
+    total = [gamma_k(h_fn, h_fn, t, b, h, analytic=analytic)
+             for _, t, b in _assignments(tag, pts, perms)]
     return math.fsum(total) / len(total)
 
 

@@ -32,6 +32,7 @@ from .cylinder import (
 from .dynamics import SimParams, simulate, simulate_k_labeled
 from .errors import ConfigError
 from .forms import (
+    FormReport,
     check_iota_identity,
     check_product_formula,
     exchange_energy,
@@ -417,37 +418,64 @@ def _run_nonexplosion(cfg, seed: int) -> list[PipelineRow]:
     return rows
 
 
-def _run_forms(cfg, seed: int) -> list[PipelineRow]:
-    sec = cfg["pipeline"]
-    rng = np.random.default_rng(seed)
-    rows = []
-
-    # frame-change identity over random 1-labeled pairs
-    n_pairs = sec.getint("iota_pairs")
-    h = sec.getfloat("iota_h")
-    worst = 0.0
+def iota_sweep(rng, n_pairs: int, h: float) -> FormReport:
+    """Frame-change identity over n_pairs random 1-labeled pairs f, g, each at
+    a random tagged point with 2-4 background points; returns the report of
+    the worst pair, counting every pair in n_samples."""
+    if n_pairs < 1:
+        raise ConfigError(f"the iota sweep needs at least 1 pair, got {n_pairs}")
+    worst = None
     for _ in range(n_pairs):
         f = random_cylinder(rng, 1, 1)
         g = random_cylinder(rng, 1, 1)
         x = rng.uniform(-1, 1, size=(1, 1))
-        pts = rng.uniform(-1.5, 1.5, size=(rng.integers(2, 5), 1))
+        pts = rng.uniform(-1.5, 1.5, size=(int(rng.integers(2, 5)), 1))
         report = check_iota_identity(f, g, x, pts, h=h)
-        worst = max(worst, report.max_residual)
+        if worst is None or report.max_residual > worst.max_residual:
+            worst = report
+    worst.n_samples = n_pairs
+    return worst
+
+
+def product_check(sampler_seed: int, seed: int, n_pointwise: int, n_samples: int,
+                  h: float) -> FormReport:
+    """Tensor-product formula, pointwise and integrated, for a bump times a
+    Gaussian linear statistic over Poisson(0.8) on the length-4 torus."""
+    if n_pointwise < 1 or n_samples < 2:
+        raise ConfigError("the product check needs at least 1 pointwise sample and "
+                          f"2 Monte Carlo samples, got {n_pointwise} and {n_samples}")
+    sampler = make_poisson_sampler(Domain(1, "torus", 4.0), 0.8, sampler_seed)
+    return check_product_formula(
+        Bump(1.5, 1), LinearStatistic(Gaussian(0.8, [0.5], 0.9)), sampler,
+        n_pointwise=n_pointwise, n_samples=n_samples, h=h, seed=seed,
+    )
+
+
+def _count(sec, key: str, least: int = 1) -> int:
+    n = sec.getint(key)
+    if n < least:
+        raise ConfigError(f"{key} must be at least {least}, got {n}")
+    return n
+
+
+def _run_forms(cfg, seed: int) -> list[PipelineRow]:
+    sec = cfg["pipeline"]
+    # every count is checked before any work: a zero would pass checking nothing
+    n_pairs = _count(sec, "iota_pairs")
+    n_pointwise = _count(sec, "pointwise_samples")
+    n_mc = _count(sec, "mc_samples", least=2)
+    n_oracle = _count(sec, "oracle_samples")
+    n_contraction = _count(sec, "contraction_instances")
+    rng = np.random.default_rng(seed)
+    rows = []
+
+    worst = iota_sweep(rng, n_pairs, sec.getfloat("iota_h")).max_residual
     thr = sec.getfloat("iota_threshold")
     rows.append(PipelineRow("iota-identity-max-residual", worst, f"< {thr}",
                             worst < thr))
 
-    # tensor-product formula: pointwise and integrated
-    dom = Domain(1, "torus", 4.0)
-    sampler = make_poisson_sampler(dom, 0.8, seed + 13)
-    phi = Bump(1.5, 1, amplitude=1.0)
-    f = LinearStatistic(Gaussian(0.8, [0.5], 0.9))
-    report = check_product_formula(
-        phi, f, sampler,
-        n_pointwise=sec.getint("pointwise_samples"),
-        n_samples=sec.getint("mc_samples"),
-        h=sec.getfloat("product_h"), seed=seed + 29,
-    )
+    report = product_check(seed + 13, seed + 29, n_pointwise, n_mc,
+                           sec.getfloat("product_h"))
     thr = sec.getfloat("product_threshold")
     rows.append(PipelineRow("product-pointwise-max-residual", report.max_residual,
                             f"< {thr}", report.max_residual < thr))
@@ -457,7 +485,7 @@ def _run_forms(cfg, seed: int) -> list[PipelineRow]:
 
     # finite differences against the analytic-gradient oracle
     worst_rel = 0.0
-    for _ in range(sec.getint("oracle_samples")):
+    for _ in range(n_oracle):
         f = random_cylinder(rng, 1, 1)
         g = random_cylinder(rng, 1, 1)
         x = rng.uniform(-1, 1, size=(1, 1))
@@ -498,7 +526,7 @@ def _run_forms(cfg, seed: int) -> list[PipelineRow]:
     # energy contraction on random instances (analytic gradients: the
     # inequality is exact, no discretization slack needed)
     violations = 0
-    for _ in range(sec.getint("contraction_instances")):
+    for _ in range(n_contraction):
         h_fn = random_cylinder(rng, 1, 1)
         x = rng.uniform(-1, 1, size=(1, 1))
         pts = rng.uniform(-1.5, 1.5, size=(int(rng.integers(2, 4)), 1))

@@ -16,6 +16,8 @@ from .potentials import PotentialSpec
 
 # healthy Metropolis acceptance-rate band
 _ACCEPT_LO, _ACCEPT_HI = 0.05, 0.7
+# share of Gibbs proposals that move a point; the rest are births or deaths
+_MOVE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,6 @@ class GibbsSpec:
     burn_in: int = 100_000
     thin: int = 50
     proposal_scale: float = 0.5
-    move_fraction: float = 0.5
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -119,12 +120,12 @@ class GibbsChain:
         return float(pot.phi_value(y[None, :])[0]) + self._interaction(y, others)
 
     def step(self) -> None:
-        """One proposal: move with probability move_fraction, else birth/death."""
+        """One proposal: move with probability _MOVE_FRACTION, else birth/death."""
         spec, rng, dom = self.spec, self.rng, self.domain
         pts = self._points
         n = pts.shape[0]
         self.proposals += 1
-        if n > 0 and rng.uniform() < spec.move_fraction:
+        if n > 0 and rng.uniform() < _MOVE_FRACTION:
             idx = rng.integers(n)
             others = np.delete(pts, idx, axis=0)
             proposal = pts[idx] + spec.proposal_scale * rng.normal(size=dom.dimension)

@@ -1,8 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from ibmsim.cli import main
-from ibmsim.persistence import read_configuration, read_trajectory
+from ibmsim.persistence import config_sha256, read_configuration, read_trajectory
 
 BASE_CONFIG = """
 [domain]
@@ -113,20 +116,37 @@ class TestAnalyze:
 
 
 class TestCheckForms:
-    def test_iota_row(self, capsys):
+    def test_iota_row(self, tmp_path, capsys):
+        out = tmp_path / "iota.tsv"
         assert main(["check-forms", "--identity", "iota", "--samples", "5",
-                     "--h", "1e-4", "--seed", "1"]) == 0
+                     "--h", "1e-4", "--seed", "1", "--out", str(out)]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         fields = line.split("\t")
         assert fields[0] == "iota-frame-change"
         assert float(fields[1]) < 1e-5
+        # without a config the manifest hashes the effective settings
+        record = json.loads((tmp_path / "iota.tsv.manifest.json").read_text())
+        assert record["config_sha256"] == config_sha256(
+            "identity = iota\nsamples = 5\nh = 0.0001\n")
 
     def test_config_section_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "forms.cfg"
         cfg.write_text("[forms]\nidentity = iota\nsamples = 3\nh = 1e-4\n")
-        assert main(["check-forms", "--config", str(cfg), "--seed", "2"]) == 0
+        out = tmp_path / "forms.tsv"
+        assert main(["check-forms", "--config", str(cfg), "--seed", "2",
+                     "--out", str(out)]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert line.split("\t")[2] == "3"
+        assert out.exists()
+        record = json.loads((tmp_path / "forms.tsv.manifest.json").read_text())
+        assert record["config_sha256"] == config_sha256(cfg.read_text())
+        assert record["seed"] == 2
+
+    @pytest.mark.parametrize("identity, samples",
+                             [("iota", "0"), ("product", "1"), ("all", "0")])
+    def test_too_few_samples_rejected(self, identity, samples, capsys):
+        assert main(["check-forms", "--identity", identity, "--samples", samples]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestPipelineCommand:
@@ -150,6 +170,16 @@ class TestPipelineCommand:
         a = open(f"{out_a}/forms-suite.tsv", "rb").read()
         b = open(f"{out_b}/forms-suite.tsv", "rb").read()
         assert a == b
+
+    @pytest.mark.parametrize("key, value", [
+        ("iota_pairs", 0), ("pointwise_samples", 0), ("mc_samples", 1),
+        ("oracle_samples", 0), ("contraction_instances", 0),
+    ])
+    def test_counts_that_check_nothing_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "forms.cfg"
+        cfg.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", SMALL_FORMS))
+        assert main(["pipeline", "--name", "forms-suite", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(SystemExit):

@@ -90,25 +90,29 @@ class TestConfiguration:
             assert c.is_single() == shifted.is_single()
 
     @pytest.mark.parametrize("geometry", ["torus", "free", "ball"])
-    def test_min_pair_distance_1d_equals_all_pairs_exactly(self, geometry):
-        # the sorted-gap shortcut must give the bits of the dense all-pairs minimum
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_min_pair_distance_equals_all_pairs_exactly(self, d, geometry):
+        # the 1-d sorted gaps and the d-dimensional masked-diagonal minimum
+        # must give the bits of the upper-triangle all-pairs minimum
         def all_pairs_min(points, domain):
             diff = domain.displacement(points[:, None, :], points[None, :, :])
             dist = np.sqrt(np.sum(diff * diff, axis=-1))
             return float(np.min(dist[np.triu_indices(points.shape[0], k=1)]))
 
         rng = np.random.default_rng(11)
-        dom = Domain(1, geometry, 8.0)
+        dom = Domain(d, geometry, 8.0)
         low = 0.0 if geometry == "torus" else -8.0
+        # the ball's inscribed cube; the whole box in one dimension
+        scale = 1.0 / math.sqrt(d) if geometry == "ball" else 1.0
         for _ in range(2000):
             n = int(rng.integers(2, 12))
-            pts = rng.uniform(low, 8.0, size=(n, 1))
+            pts = rng.uniform(low, 8.0, size=(n, d))
             if rng.random() < 0.5:
                 # crowd the ends, where the torus wrap-around gap decides
                 k = n // 2
-                offset = rng.uniform(0.0, 1e-3, size=(k, 1))
-                pts[:k] = np.where(rng.random((k, 1)) < 0.5, low + offset, 8.0 - offset)
-            c = Configuration(pts, dom)
+                offset = rng.uniform(0.0, 1e-3, size=(k, d))
+                pts[:k] = np.where(rng.random((k, d)) < 0.5, low + offset, 8.0 - offset)
+            c = Configuration(pts * scale, dom)
             assert c.min_pair_distance() == all_pairs_min(c.points, dom)
 
     def test_same_points_is_order_free(self):

@@ -252,6 +252,17 @@ class TestSimulate:
         for i in range(traj.n_snapshots):
             assert traj.configuration(i).min_pair_distance() >= 0.5 - 1e-12
 
+    def test_hard_core_reflect_resolves_sub_ulp_overlap(self):
+        # a push can leave a pair one ulp inside sigma, below what any later
+        # push of 0.5 * (sigma - r) can move
+        dom = Domain(1, "torus", 8.0)
+        pot = PotentialSpec(psi="hard_core", hard_core_diameter=0.3)
+        state = LabeledState(np.arange(10)[:, None] * 0.8, dom)
+        params = SimParams(dt=1e-3, t_end=0.05, seed=11, stride=1, hard_core_mode="reflect")
+        traj = simulate(state, pot, params)
+        for i in range(traj.n_snapshots):
+            assert traj.configuration(i).min_pair_distance() >= 0.3 - 1e-12
+
     def test_ball_reflection_keeps_points_inside(self):
         dom = Domain(2, "ball", 1.5)
         state = LabeledState([[1.4, 0.0]], dom)
