@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DomainError, KMismatch, NotSingle
 
@@ -19,6 +20,10 @@ _GEOMETRIES = (TORUS, BALL, FREE)
 COINCIDENCE_REL_TOL = 1e-9
 
 LABEL_RULES = ("lexicographic", "distance-from-origin", "stored-order")
+
+# Up to this many points min_pair_distance measures all pairs at once; above
+# it a KD-tree proposes the few candidates (crossover about 50 points in 2-d).
+_ALL_PAIRS_MAX = 40
 
 
 def _unit_ball_volume(d: int) -> float:
@@ -77,11 +82,12 @@ class Domain:
         pts = as_points(points, self.dimension)
         if pts.size == 0:
             return True
+        # one reduction per bound; a NaN coordinate fails every comparison
         if self.geometry == TORUS:
-            return bool(np.all(pts >= 0.0) and np.all(pts < self.size))
+            return bool(pts.min() >= 0.0 and pts.max() < self.size)
         if self.geometry == BALL:
             # tiny slack so reflected / round-tripped boundary points survive
-            return bool(np.all(np.sum(pts * pts, axis=1) <= self.size**2 * (1 + 1e-12)))
+            return bool(np.sum(pts * pts, axis=1).max() <= self.size**2 * (1 + 1e-12))
         return True
 
     def wrap(self, points):
@@ -109,7 +115,11 @@ class Domain:
 
 
 def as_points(points, d: int) -> np.ndarray:
-    """Coerce scalars / lists / arrays to a float (n, d) array."""
+    """Coerce scalars / lists / arrays to a float (n, d) array; a float
+    (n, d) array is returned as it is."""
+    if (isinstance(points, np.ndarray) and points.dtype == np.float64
+            and points.ndim == 2 and points.shape[1] == d):
+        return points
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return pts.reshape(0, d)
@@ -120,6 +130,13 @@ def as_points(points, d: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != d:
         raise DomainError(f"expected points of dimension {d}, got shape {pts.shape}")
     return pts
+
+
+def _private(pts: np.ndarray) -> np.ndarray:
+    """Read-only copy, so that no caller's array is frozen or can change a state."""
+    out = np.array(pts, order="C")
+    out.setflags(write=False)
+    return out
 
 
 class Configuration:
@@ -135,11 +152,20 @@ class Configuration:
         pts = as_points(points, domain.dimension)
         if validate and not domain.contains(pts):
             raise DomainError("configuration points outside the domain")
-        pts = np.ascontiguousarray(pts)
+        object.__setattr__(self, "points", _private(pts))
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_canonical", None)
+
+    @classmethod
+    def _of(cls, pts: np.ndarray, domain: Domain) -> "Configuration":
+        """Configuration on a float (n, d) array no caller holds (computed in
+        this module, or the frozen points of another state): no copy, no check."""
         pts.setflags(write=False)
+        self = object.__new__(cls)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_canonical", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
@@ -156,7 +182,8 @@ class Configuration:
             if len(self) == 0:
                 canon = self.points
             elif self.domain.dimension == 1:
-                canon = np.sort(self.points, axis=0)
+                canon = self.points.copy()
+                canon.sort(axis=0)
             else:
                 canon = self.points[np.lexsort(self.points.T[::-1])]
             object.__setattr__(self, "_canonical", canon)
@@ -169,26 +196,43 @@ class Configuration:
         if len(self) == 0:
             return True
         a, b = self.canonical(), other.canonical()
+        if a.shape != b.shape:
+            return False
         if tol == 0.0:
-            return bool(np.array_equal(a, b))
+            return bool((a == b).all())
         return bool(np.max(np.abs(a - b)) <= tol)
 
     def min_pair_distance(self) -> float:
         n = len(self)
         if n < 2:
             return math.inf
-        if self.domain.dimension == 1:
+        dom = self.domain
+        pts = self.points
+        if dom.dimension == 1:
             # sorted gaps suffice in one dimension (plus the wrap-around gap)
-            flat = np.sort(self.points[:, 0])
+            flat = self.canonical()[:, 0]
             gap = float((flat[1:] - flat[:-1]).min())
-            if self.domain.geometry == TORUS:
-                gap = min(gap, self.domain.size - float(flat[-1] - flat[0]))
+            if dom.geometry == TORUS:
+                gap = min(gap, dom.size - float(flat[-1] - flat[0]))
             return gap
-        diff = self.domain.displacement(self.points[:, None, :], self.points[None, :, :])
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        # dist is bitwise symmetric, so its off-diagonal minimum is the upper triangle's
-        np.fill_diagonal(dist, math.inf)
-        return float(dist.min())
+        if n <= _ALL_PAIRS_MAX:
+            diff = dom.displacement(pts[:, None, :], pts[None, :, :])
+            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+            # dist is bitwise symmetric, so its off-diagonal minimum is the upper triangle's
+            np.fill_diagonal(dist, math.inf)
+            return float(dist.min())
+        # candidates: pairs within the tree's nearest-neighbour distance,
+        # padded as dynamics._close_pairs pads its radius so the tree's
+        # rounding never drops the closest pair
+        box = dom.size if dom.geometry == TORUS else None
+        tree_pts = dom.wrap(pts)
+        tree = cKDTree(tree_pts, boxsize=box)
+        nearest = float(tree.query(tree_pts, k=2)[0][:, 1].min())
+        if nearest == 0.0:
+            return 0.0  # coincident points
+        i, j = tree.query_pairs(nearest * (1 + 1e-9), output_type="ndarray").T
+        diff = dom.displacement(pts[i], pts[j])
+        return float(np.sqrt(np.sum(diff * diff, axis=-1)).min())
 
     def is_single(self, eps: float | None = None) -> bool:
         """True when no two points coincide within eps (default: domain tol)."""
@@ -199,7 +243,7 @@ class Configuration:
     def without(self, indices) -> "Configuration":
         keep = np.ones(len(self), dtype=bool)
         keep[np.asarray(indices, dtype=int)] = False
-        return Configuration(self.points[keep], self.domain, validate=False)
+        return Configuration._of(self.points[keep], self.domain)
 
 
 class LabeledState:
@@ -211,10 +255,17 @@ class LabeledState:
         pts = as_points(points, domain.dimension)
         if validate and not domain.contains(pts):
             raise DomainError("labeled state points outside the domain")
-        pts = np.ascontiguousarray(pts)
+        object.__setattr__(self, "points", _private(pts))
+        object.__setattr__(self, "domain", domain)
+
+    @classmethod
+    def _of(cls, pts: np.ndarray, domain: Domain) -> "LabeledState":
+        """As Configuration._of."""
         pts.setflags(write=False)
+        self = object.__new__(cls)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "domain", domain)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledState is immutable")
@@ -226,7 +277,7 @@ class LabeledState:
         return f"LabeledState(n={len(self)}, {self.domain!r})"
 
     def configuration(self) -> Configuration:
-        return Configuration(self.points, self.domain, validate=False)
+        return Configuration._of(self.points, self.domain)
 
 
 class KLabeledState:
@@ -239,10 +290,17 @@ class KLabeledState:
         tag = as_points(tagged, dom.dimension)
         if validate and not dom.contains(tag):
             raise DomainError("tagged points outside the domain")
-        tag = np.ascontiguousarray(tag)
+        object.__setattr__(self, "tagged", _private(tag))
+        object.__setattr__(self, "background", background)
+
+    @classmethod
+    def _of(cls, tag: np.ndarray, background: Configuration) -> "KLabeledState":
+        """As Configuration._of, for the tagged array."""
         tag.setflags(write=False)
+        self = object.__new__(cls)
         object.__setattr__(self, "tagged", tag)
         object.__setattr__(self, "background", background)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("KLabeledState is immutable")
@@ -265,7 +323,7 @@ def kappa(state) -> Configuration:
         return state.configuration()
     if isinstance(state, KLabeledState):
         pts = np.concatenate([state.tagged, state.background.points], axis=0)
-        return Configuration(pts, state.domain, validate=False)
+        return Configuration._of(pts, state.domain)
     raise TypeError(f"kappa expects a LabeledState or KLabeledState, got {type(state)!r}")
 
 
@@ -289,7 +347,7 @@ def label(config: Configuration, rule: str = "lexicographic") -> LabeledState:
     if not config.is_single():
         raise NotSingle("cannot label a configuration with coincident points")
     order = _label_order(config, rule)
-    return LabeledState(config.points[order], config.domain, validate=False)
+    return LabeledState._of(config.points[order], config.domain)
 
 
 def translate(config: Configuration, a, unbounded: bool = False) -> Configuration:
@@ -302,11 +360,11 @@ def translate(config: Configuration, a, unbounded: bool = False) -> Configuratio
     dom = config.domain
     a = np.asarray(a, dtype=float).reshape(dom.dimension)
     if dom.geometry == TORUS:
-        return Configuration(dom.wrap(config.points - a), dom, validate=False)
+        return Configuration._of(dom.wrap(config.points - a), dom)
     if dom.geometry == BALL and not unbounded:
         raise DomainError("translation leaves a ball domain; pass unbounded=True")
     out_dom = dom if dom.geometry == FREE else dom.as_free()
-    return Configuration(config.points - a, out_dom, validate=False)
+    return Configuration._of(config.points - a, out_dom)
 
 
 def iota(state: KLabeledState) -> KLabeledState:
@@ -314,7 +372,7 @@ def iota(state: KLabeledState) -> KLabeledState:
     if state.k != 1:
         raise KMismatch(f"iota is defined for k = 1, got k = {state.k}")
     shifted = translate(state.background, state.tagged[0], unbounded=True)
-    return KLabeledState(state.tagged, shifted, validate=False)
+    return KLabeledState._of(state.tagged, shifted)
 
 
 def iota_inverse(state: KLabeledState) -> KLabeledState:
@@ -322,7 +380,7 @@ def iota_inverse(state: KLabeledState) -> KLabeledState:
     if state.k != 1:
         raise KMismatch(f"iota_inverse is defined for k = 1, got k = {state.k}")
     shifted = translate(state.background, -state.tagged[0], unbounded=True)
-    return KLabeledState(state.tagged, shifted, validate=False)
+    return KLabeledState._of(state.tagged, shifted)
 
 
 def falling_factorial(m: int, k: int) -> int:

@@ -2,7 +2,16 @@
 background configuration, assembled from smooth blocks (polynomials,
 Gaussians, compactly supported bumps) that carry analytic gradients. The
 analytic route is the oracle the finite-difference form evaluators are
-checked against."""
+checked against.
+
+Smooth blocks evaluate a whole (n, d) point array in one call (`values`,
+`gradients`); the one-point `value` and `gradient` are that call on a single
+row, so every row has the bits of the one-point route. Two numpy shortcuts
+would break that: numpy's SIMD `np.exp` differs from `math.exp` in the last
+bit on a few percent of inputs, so exponentials are taken with `math.exp` on
+each element; and `(diff * diff).sum(1)` adds in another order than the
+per-row dot product `diff @ diff`, so squared norms come from `row_dots`, a
+batched matmul that calls the same dot product on each row."""
 
 from __future__ import annotations
 
@@ -12,16 +21,38 @@ from typing import Callable
 import numpy as np
 
 
+def _as_rows(pts, d: int) -> np.ndarray:
+    """Points as a float (n, d) array."""
+    return np.asarray(pts, dtype=float).reshape(-1, d)
+
+
+def row_dots(a: np.ndarray) -> np.ndarray:
+    """a[i] @ a[i] for every row of a (n, d) array, bitwise."""
+    if a.shape[1] == 1:
+        return (a * a).reshape(-1)  # one product: no order of addition to keep
+    return np.matmul(a[:, None, :], a[:, :, None]).reshape(-1)
+
+
 class SmoothMap:
-    """Smooth function R^d -> R with an analytic gradient."""
+    """Smooth function R^d -> R with an analytic gradient.
+
+    Subclasses define `values` (n,) and `gradients` (n, d) over an (n, d)
+    array of points; the one-point methods evaluate a single row.
+    """
 
     d: int
 
-    def value(self, y: np.ndarray) -> float:
+    def values(self, pts) -> np.ndarray:
         raise NotImplementedError
 
-    def gradient(self, y: np.ndarray) -> np.ndarray:
+    def gradients(self, pts) -> np.ndarray:
         raise NotImplementedError
+
+    def value(self, y) -> float:
+        return float(self.values(np.asarray(y, dtype=float).reshape(1, self.d))[0])
+
+    def gradient(self, y) -> np.ndarray:
+        return self.gradients(np.asarray(y, dtype=float).reshape(1, self.d))[0]
 
     def __mul__(self, other):
         if isinstance(other, SmoothMap):
@@ -30,28 +61,37 @@ class SmoothMap:
 
 
 class Polynomial(SmoothMap):
-    """Multivariate polynomial sum_alpha c_alpha y^alpha."""
+    """Multivariate polynomial sum_alpha c_alpha y^alpha.
+
+    numpy's array `**` takes other paths on a whole array than on one row
+    and than its scalar `**`, so `values` stays a loop over rows, and
+    `gradients` raises each entry of a column with the scalar `**`.
+    """
 
     def __init__(self, coeffs: dict, d: int):
         self.coeffs = {tuple(a): float(c) for a, c in coeffs.items()}
         self.d = d
+        self._powers = [(np.array(a), c) for a, c in self.coeffs.items()]
 
-    def value(self, y):
-        y = np.asarray(y, dtype=float).reshape(self.d)
-        return float(sum(c * np.prod(y**np.array(a)) for a, c in self.coeffs.items()))
+    def values(self, pts):
+        pts = _as_rows(pts, self.d)
+        # np.multiply.reduce is np.prod without its Python wrapper
+        return np.array(
+            [float(sum(c * np.multiply.reduce(y**a) for a, c in self._powers)) for y in pts]
+        )
 
-    def gradient(self, y):
-        y = np.asarray(y, dtype=float).reshape(self.d)
-        grad = np.zeros(self.d)
+    def gradients(self, pts):
+        pts = _as_rows(pts, self.d)
+        grad = np.zeros_like(pts)
         for alpha, c in self.coeffs.items():
             for j, p in enumerate(alpha):
                 if p == 0:
                     continue
-                mono = c * p
+                mono = np.full(pts.shape[0], c * p)
                 for i, q in enumerate(alpha):
                     power = q - 1 if i == j else q
-                    mono *= y[i] ** power
-                grad[j] += mono
+                    mono *= [t**power for t in pts[:, i]]
+                grad[:, j] += mono
         return grad
 
 
@@ -64,13 +104,16 @@ class Gaussian(SmoothMap):
         self.width = float(width)
         self.d = self.center.size
 
-    def value(self, y):
-        diff = np.asarray(y, dtype=float).reshape(self.d) - self.center
-        return self.amplitude * math.exp(-float(diff @ diff) / (2.0 * self.width**2))
+    def values(self, pts):
+        return self._values(_as_rows(pts, self.d) - self.center)
 
-    def gradient(self, y):
-        diff = np.asarray(y, dtype=float).reshape(self.d) - self.center
-        return self.value(y) * (-diff / self.width**2)
+    def _values(self, diff):
+        scale = 2.0 * self.width**2
+        return np.array([self.amplitude * math.exp(-q / scale) for q in row_dots(diff).tolist()])
+
+    def gradients(self, pts):
+        diff = _as_rows(pts, self.d) - self.center
+        return self._values(diff)[:, None] * (-diff / self.width**2)
 
 
 class Bump(SmoothMap):
@@ -81,21 +124,28 @@ class Bump(SmoothMap):
         self.d = d
         self.amplitude = float(amplitude)
 
-    def value(self, y):
-        y = np.asarray(y, dtype=float).reshape(self.d)
-        u = float(y @ y) / self.radius**2
-        if u >= 1.0:
-            return 0.0
-        return self.amplitude * math.exp(1.0 - 1.0 / (1.0 - u))
+    def _u(self, pts):
+        """|y|^2 / R^2 of every row, as a list."""
+        r2 = self.radius**2
+        return [q / r2 for q in row_dots(pts).tolist()]
 
-    def gradient(self, y):
-        y = np.asarray(y, dtype=float).reshape(self.d)
-        u = float(y @ y) / self.radius**2
-        if u >= 1.0:
-            return np.zeros(self.d)
-        v = self.value(y)
+    def values(self, pts):
+        return self._values(self._u(_as_rows(pts, self.d)))
+
+    def _values(self, us):
+        return np.array([0.0 if u >= 1.0 else self.amplitude * math.exp(1.0 - 1.0 / (1.0 - u))
+                         for u in us])
+
+    def gradients(self, pts):
+        pts = _as_rows(pts, self.d)
+        us = self._u(pts)
         # d/dy exp(-1/(1-u)) -> -(1/(1-u)^2) * du/dy
-        return v * (-1.0 / (1.0 - u) ** 2) * (2.0 * y / self.radius**2)
+        scale = [0.0 if u >= 1.0 else v * (-1.0 / (1.0 - u) ** 2)
+                 for v, u in zip(self._values(us).tolist(), us)]
+        grad = np.array(scale)[:, None] * (2.0 * pts / self.radius**2)
+        # outside the support a row is +0.0 whatever the signs of y
+        grad[np.array(us) >= 1.0] = 0.0
+        return grad
 
 
 class SmoothProduct(SmoothMap):
@@ -105,11 +155,12 @@ class SmoothProduct(SmoothMap):
         self.a, self.b = a, b
         self.d = a.d
 
-    def value(self, y):
-        return self.a.value(y) * self.b.value(y)
+    def values(self, pts):
+        return self.a.values(pts) * self.b.values(pts)
 
-    def gradient(self, y):
-        return self.a.value(y) * self.b.gradient(y) + self.b.value(y) * self.a.gradient(y)
+    def gradients(self, pts):
+        return (self.a.values(pts)[:, None] * self.b.gradients(pts)
+                + self.b.values(pts)[:, None] * self.a.gradients(pts))
 
 
 class CylinderFunction:
@@ -180,15 +231,14 @@ class LinearStatistic(CylinderFunction):
         self.window = window
 
     def value(self, x, pts):
-        return math.fsum(self.phi.value(p) for p in np.atleast_2d(pts))
+        return math.fsum(self.phi.values(pts).tolist())
 
     def grad_tagged(self, x, pts):
         x = np.atleast_2d(x) if np.size(x) else np.zeros((0, self.d))
         return np.zeros_like(x)
 
     def grad_points(self, x, pts):
-        pts = np.atleast_2d(pts)
-        return np.array([self.phi.gradient(p) for p in pts]).reshape(pts.shape)
+        return self.phi.gradients(pts)
 
 
 class PairStatistic(CylinderFunction):
@@ -200,28 +250,31 @@ class PairStatistic(CylinderFunction):
         self.phi = phi
         self.d = phi.d
 
+    def _pairs(self, pts):
+        """Points and their index pairs (i, j), i != j, in (i, j) order."""
+        pts = _as_rows(pts, self.d)
+        i, j = np.nonzero(~np.eye(pts.shape[0], dtype=bool))
+        return pts, i, j
+
     def value(self, x, pts):
-        pts = np.atleast_2d(pts)
-        n = pts.shape[0]
-        return 0.5 * math.fsum(
-            self.phi.value(pts[i] - pts[j]) for i in range(n) for j in range(n) if i != j
-        )
+        pts, i, j = self._pairs(pts)
+        return 0.5 * math.fsum(self.phi.values(pts[i] - pts[j]).tolist())
 
     def grad_tagged(self, x, pts):
         x = np.atleast_2d(x) if np.size(x) else np.zeros((0, self.d))
         return np.zeros_like(x)
 
     def grad_points(self, x, pts):
-        pts = np.atleast_2d(pts)
+        pts, i, j = self._pairs(pts)
         n = pts.shape[0]
+        g = np.zeros((n, n, self.d))
+        g[i, j] = self.phi.gradients(pts[i] - pts[j])
+        term = 0.5 * (g - g.transpose(1, 0, 2))
+        # add each j in turn, as the per-pair sum does; the zero diagonal
+        # term leaves a +0.0-started sum unchanged
         grad = np.zeros_like(pts)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                grad[i] += 0.5 * (
-                    self.phi.gradient(pts[i] - pts[j]) - self.phi.gradient(pts[j] - pts[i])
-                )
+        for col in range(n):
+            grad += term[:, col]
         return grad
 
 

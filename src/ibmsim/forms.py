@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configuration import Configuration
-from .cylinder import CylinderFunction, Evaluator, SmoothMap, tensor_product
+from .cylinder import CylinderFunction, Evaluator, SmoothMap, row_dots, tensor_product
 from .errors import TooManyPoints
 
 DEFAULT_STEP = 1e-5
@@ -201,18 +201,13 @@ def quadrature_norms(phi: SmoothMap, radius: float, n: int = 2001):
     d = phi.d
     axis = np.linspace(-radius, radius, n if d == 1 else 301)
     if d == 1:
-        vals = np.array([phi.value(np.array([t])) for t in axis])
-        grads = np.array([phi.gradient(np.array([t]))[0] for t in axis])
+        vals = phi.values(axis[:, None])
+        grads = phi.gradients(axis[:, None])[:, 0]
         return float(np.trapezoid(vals**2, axis)), float(np.trapezoid(grads**2, axis))
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    vals = np.zeros_like(xx)
-    gsq = np.zeros_like(xx)
-    for i in range(axis.size):
-        for j in range(axis.size):
-            y = np.array([xx[i, j], yy[i, j]])
-            vals[i, j] = phi.value(y)
-            grad = phi.gradient(y)
-            gsq[i, j] = float(grad @ grad)
+    grid = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    vals = phi.values(grid).reshape(xx.shape)
+    gsq = row_dots(phi.gradients(grid)).reshape(xx.shape)
     step = axis[1] - axis[0]
     return float(np.trapezoid(np.trapezoid(vals**2, dx=step), dx=step)), float(
         np.trapezoid(np.trapezoid(gsq, dx=step), dx=step)

@@ -67,6 +67,30 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             c.points[0, 0] = 3.0
 
+    @pytest.mark.parametrize("cls", [Configuration, LabeledState])
+    def test_caller_array_is_neither_frozen_nor_aliased(self, cls):
+        dom = Domain(2, "torus", 1.0)
+        base = np.array([[0.5, 0.5], [0.1, 0.9], [0.3, 0.2]])
+        for given in (base, base[:2]):
+            state = cls(given, dom)
+            before = state.points.copy()
+            canon = state.canonical().copy() if cls is Configuration else None
+            assert given.flags.writeable and base.flags.writeable
+            given[0, 0] = 0.2
+            base[1, 1] = 0.4
+            assert np.array_equal(state.points, before)
+            if cls is Configuration:
+                assert np.array_equal(state.canonical(), canon)
+            with pytest.raises(ValueError):
+                state.points[0, 0] = 0.7
+
+    def test_tagged_array_is_neither_frozen_nor_aliased(self):
+        dom = Domain(1, "torus", 5.0)
+        tagged = np.array([[1.0]])
+        state = KLabeledState(tagged, Configuration([[2.0]], dom))
+        tagged[0, 0] = 3.0
+        assert state.tagged[0, 0] == 1.0
+
     def test_outside_domain_rejected(self):
         with pytest.raises(DomainError):
             Configuration([6.0], Domain(1, "torus", 5.0))
@@ -92,8 +116,9 @@ class TestConfiguration:
     @pytest.mark.parametrize("geometry", ["torus", "free", "ball"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_min_pair_distance_equals_all_pairs_exactly(self, d, geometry):
-        # the 1-d sorted gaps and the d-dimensional masked-diagonal minimum
-        # must give the bits of the upper-triangle all-pairs minimum
+        # the 1-d sorted gaps, the d-dimensional masked-diagonal minimum and
+        # the KD-tree candidates above _ALL_PAIRS_MAX points must give the
+        # bits of the upper-triangle all-pairs minimum
         def all_pairs_min(points, domain):
             diff = domain.displacement(points[:, None, :], points[None, :, :])
             dist = np.sqrt(np.sum(diff * diff, axis=-1))
@@ -104,16 +129,24 @@ class TestConfiguration:
         low = 0.0 if geometry == "torus" else -8.0
         # the ball's inscribed cube; the whole box in one dimension
         scale = 1.0 / math.sqrt(d) if geometry == "ball" else 1.0
-        for _ in range(2000):
-            n = int(rng.integers(2, 12))
+
+        def check(n, coincident=False):
             pts = rng.uniform(low, 8.0, size=(n, d))
             if rng.random() < 0.5:
                 # crowd the ends, where the torus wrap-around gap decides
                 k = n // 2
                 offset = rng.uniform(0.0, 1e-3, size=(k, d))
                 pts[:k] = np.where(rng.random((k, d)) < 0.5, low + offset, 8.0 - offset)
+            if coincident:
+                pts[-1] = pts[0]
             c = Configuration(pts * scale, dom)
             assert c.min_pair_distance() == all_pairs_min(c.points, dom)
+
+        for _ in range(2000):
+            check(int(rng.integers(2, 12)))
+        for n in [2, 7, 50, 300] * 10:
+            check(n)
+            check(n, coincident=True)
 
     def test_same_points_is_order_free(self):
         a = free1d([2.0, -1.0, 0.5])

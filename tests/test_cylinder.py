@@ -1,0 +1,189 @@
+"""Batched smooth blocks against the one-point formulas they replaced.
+
+The reference functions below are the per-point formulas the library used
+before smooth blocks evaluated whole point arrays; every batched row must
+carry their bits exactly (compared as raw bytes, so signed zeros count)."""
+
+import math
+
+import numpy as np
+import pytest
+
+from ibmsim.cylinder import (
+    Bump,
+    Gaussian,
+    LinearStatistic,
+    PairStatistic,
+    Polynomial,
+    SmoothProduct,
+)
+
+
+# ---------------------------------------------------------------- references
+
+def ref_value(block, y):
+    y = np.asarray(y, dtype=float).reshape(block.d)
+    if isinstance(block, Polynomial):
+        return float(sum(c * np.prod(y**np.array(a)) for a, c in block.coeffs.items()))
+    if isinstance(block, Gaussian):
+        diff = y - block.center
+        return block.amplitude * math.exp(-float(diff @ diff) / (2.0 * block.width**2))
+    if isinstance(block, Bump):
+        u = float(y @ y) / block.radius**2
+        if u >= 1.0:
+            return 0.0
+        return block.amplitude * math.exp(1.0 - 1.0 / (1.0 - u))
+    if isinstance(block, SmoothProduct):
+        return ref_value(block.a, y) * ref_value(block.b, y)
+    raise TypeError(block)
+
+
+def ref_gradient(block, y):
+    y = np.asarray(y, dtype=float).reshape(block.d)
+    if isinstance(block, Polynomial):
+        grad = np.zeros(block.d)
+        for alpha, c in block.coeffs.items():
+            for j, p in enumerate(alpha):
+                if p == 0:
+                    continue
+                mono = c * p
+                for i, q in enumerate(alpha):
+                    power = q - 1 if i == j else q
+                    mono *= y[i] ** power
+                grad[j] += mono
+        return grad
+    if isinstance(block, Gaussian):
+        diff = y - block.center
+        return ref_value(block, y) * (-diff / block.width**2)
+    if isinstance(block, Bump):
+        u = float(y @ y) / block.radius**2
+        if u >= 1.0:
+            return np.zeros(block.d)
+        v = ref_value(block, y)
+        return v * (-1.0 / (1.0 - u) ** 2) * (2.0 * y / block.radius**2)
+    if isinstance(block, SmoothProduct):
+        return (ref_value(block.a, y) * ref_gradient(block.b, y)
+                + ref_value(block.b, y) * ref_gradient(block.a, y))
+    raise TypeError(block)
+
+
+def ref_pair_value(phi, pts):
+    n = pts.shape[0]
+    return 0.5 * math.fsum(
+        ref_value(phi, pts[i] - pts[j]) for i in range(n) for j in range(n) if i != j
+    )
+
+
+def ref_pair_grad_points(phi, pts):
+    n = pts.shape[0]
+    grad = np.zeros_like(pts)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            grad[i] += 0.5 * (ref_gradient(phi, pts[i] - pts[j])
+                              - ref_gradient(phi, pts[j] - pts[i]))
+    return grad
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ------------------------------------------------------------------- blocks
+
+def blocks(rng, d):
+    poly = Polynomial({tuple(int(p) for p in rng.integers(0, 5, size=d)): float(rng.normal())
+                       for _ in range(4)}, d)
+    gauss = Gaussian(float(rng.normal()), rng.normal(scale=0.8, size=d),
+                     float(rng.uniform(0.6, 1.5)))
+    bump = Bump(float(rng.uniform(0.8, 1.6)), d, amplitude=float(rng.normal()))
+    return {"poly": poly, "gauss": gauss, "bump": bump,
+            "gauss*bump": gauss * bump, "poly*gauss": poly * gauss}
+
+
+def points(rng, n, d, radius=1.2):
+    """n points, about a third inside, on and outside |y| = radius."""
+    pts = rng.uniform(-2.0 * radius, 2.0 * radius, size=(n, d))
+    for r in range(n):
+        if r % 3 == 1:
+            axis = np.zeros(d)
+            axis[r % d] = radius if rng.random() < 0.5 else -radius
+            pts[r] = axis
+        elif r % 3 == 2:
+            direction = rng.normal(size=d)
+            pts[r] = radius * direction / np.linalg.norm(direction)
+    return pts
+
+
+class TestBatchedBlocksKeepTheirBits:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("kind", ["poly", "gauss", "bump", "gauss*bump", "poly*gauss"])
+    def test_values_and_gradients_equal_per_point_formulas(self, kind, n, d):
+        rng = np.random.default_rng(1000 * d + n)
+        for _ in range(60):
+            block = blocks(rng, d)[kind]
+            outer = block.b if isinstance(block, SmoothProduct) else block
+            pts = points(rng, n, d, getattr(outer, "radius", 1.2))
+            ref_v = np.array([ref_value(block, y) for y in pts])
+            ref_g = np.array([ref_gradient(block, y) for y in pts]).reshape(n, d)
+            assert same_bits(block.values(pts), ref_v)
+            assert same_bits(block.gradients(pts), ref_g)
+            for y, v, g in zip(pts, ref_v, ref_g):
+                assert same_bits(block.value(y), v)
+                assert same_bits(block.gradient(y), g)
+
+    def test_bump_vanishes_from_the_boundary_out(self):
+        bump = Bump(1.5, 2, amplitude=2.0)
+        pts = np.array([[1.5, 0.0], [0.0, -1.5], [3.0, 0.0], [1.5, 1.5]])
+        assert same_bits(bump.values(pts), np.zeros(4))
+        assert same_bits(bump.gradients(pts), np.zeros((4, 2)))
+
+
+class TestStatisticsKeepTheirBits:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_linear_statistic_equals_per_point_sum(self, d):
+        rng = np.random.default_rng(20 + d)
+        empty = np.zeros((0, d))
+        for _ in range(20):
+            for phi in blocks(rng, d).values():
+                f = LinearStatistic(phi)
+                pts = points(rng, int(rng.integers(1, 9)), d)
+                assert same_bits(f.value(empty, pts),
+                                 math.fsum(ref_value(phi, p) for p in pts))
+                assert same_bits(f.grad_points(empty, pts),
+                                 np.array([ref_gradient(phi, p) for p in pts]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pair_statistic_equals_per_pair_sum(self, d):
+        rng = np.random.default_rng(40 + d)
+        empty = np.zeros((0, d))
+        for _ in range(8):
+            for phi in blocks(rng, d).values():
+                f = PairStatistic(phi)
+                pts = points(rng, int(rng.integers(1, 7)), d)
+                assert same_bits(f.value(empty, pts), ref_pair_value(phi, pts))
+                assert same_bits(f.grad_points(empty, pts), ref_pair_grad_points(phi, pts))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_statistics_bitwise_invariant_under_row_permutation(self, d):
+        rng = np.random.default_rng(60 + d)
+        empty = np.zeros((0, d))
+        for _ in range(20):
+            for phi in blocks(rng, d).values():
+                pts = points(rng, 7, d)
+                shuffled = pts[rng.permutation(7)]
+                for f in (LinearStatistic(phi), PairStatistic(phi)):
+                    assert same_bits(f.value(empty, shuffled), f.value(empty, pts))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_background_gives_exact_zero(self, d):
+        rng = np.random.default_rng(80 + d)
+        empty = np.zeros((0, d))
+        for phi in blocks(rng, d).values():
+            for f in (LinearStatistic(phi), PairStatistic(phi)):
+                assert same_bits(f.value(empty, empty), 0.0)
+                assert same_bits(f.grad_points(empty, empty), np.zeros((0, d)))
+            assert same_bits(PairStatistic(phi).value(empty, np.ones((1, d))), 0.0)
