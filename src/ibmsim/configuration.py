@@ -21,10 +21,6 @@ COINCIDENCE_REL_TOL = 1e-9
 
 LABEL_RULES = ("lexicographic", "distance-from-origin", "stored-order")
 
-# Up to this many points min_pair_distance measures all pairs at once; above
-# it a KD-tree proposes the few candidates (crossover about 50 points in 2-d).
-_ALL_PAIRS_MAX = 40
-
 
 def _unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
@@ -186,6 +182,7 @@ class Configuration:
                 canon.sort(axis=0)
             else:
                 canon = self.points[np.lexsort(self.points.T[::-1])]
+            canon.setflags(write=False)
             object.__setattr__(self, "_canonical", canon)
         return self._canonical
 
@@ -215,12 +212,6 @@ class Configuration:
             if dom.geometry == TORUS:
                 gap = min(gap, dom.size - float(flat[-1] - flat[0]))
             return gap
-        if n <= _ALL_PAIRS_MAX:
-            diff = dom.displacement(pts[:, None, :], pts[None, :, :])
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
-            # dist is bitwise symmetric, so its off-diagonal minimum is the upper triangle's
-            np.fill_diagonal(dist, math.inf)
-            return float(dist.min())
         # candidates: pairs within the tree's nearest-neighbour distance,
         # padded as dynamics._close_pairs pads its radius so the tree's
         # rounding never drops the closest pair

@@ -69,9 +69,13 @@ class Polynomial(SmoothMap):
     """
 
     def __init__(self, coeffs: dict, d: int):
-        self.coeffs = {tuple(a): float(c) for a, c in coeffs.items()}
+        self._powers = [(np.array(a), float(c)) for a, c in coeffs.items()]
         self.d = d
-        self._powers = [(np.array(a), c) for a, c in self.coeffs.items()]
+
+    @property
+    def coeffs(self) -> dict:
+        """{alpha: c_alpha}, read from the one list both routes evaluate."""
+        return {tuple(a.tolist()): c for a, c in self._powers}
 
     def values(self, pts):
         pts = _as_rows(pts, self.d)
@@ -83,7 +87,8 @@ class Polynomial(SmoothMap):
     def gradients(self, pts):
         pts = _as_rows(pts, self.d)
         grad = np.zeros_like(pts)
-        for alpha, c in self.coeffs.items():
+        for powers, c in self._powers:
+            alpha = powers.tolist()
             for j, p in enumerate(alpha):
                 if p == 0:
                     continue

@@ -83,6 +83,19 @@ class TestConfiguration:
                 assert np.array_equal(state.canonical(), canon)
             with pytest.raises(ValueError):
                 state.points[0, 0] = 0.7
+            if cls is Configuration:
+                with pytest.raises(ValueError):
+                    state.canonical()[0, 0] = 0.7
+
+    def test_canonical_is_read_only(self):
+        # the 1-d sorted copy; same_points and min_pair_distance read it
+        dom = Domain(1, "torus", 8.0)
+        pts = np.array([[1.0], [3.0], [2.0]])
+        a, b = Configuration(pts, dom), Configuration(pts[::-1], dom)
+        with pytest.raises(ValueError):
+            a.canonical()[0, 0] = 7.0
+        assert a.same_points(b)
+        assert a.min_pair_distance() == b.min_pair_distance()
 
     def test_tagged_array_is_neither_frozen_nor_aliased(self):
         dom = Domain(1, "torus", 5.0)
@@ -116,9 +129,8 @@ class TestConfiguration:
     @pytest.mark.parametrize("geometry", ["torus", "free", "ball"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_min_pair_distance_equals_all_pairs_exactly(self, d, geometry):
-        # the 1-d sorted gaps, the d-dimensional masked-diagonal minimum and
-        # the KD-tree candidates above _ALL_PAIRS_MAX points must give the
-        # bits of the upper-triangle all-pairs minimum
+        # the 1-d sorted gaps and the d-dimensional KD-tree candidates must
+        # give the bits of the upper-triangle all-pairs minimum
         def all_pairs_min(points, domain):
             diff = domain.displacement(points[:, None, :], points[None, :, :])
             dist = np.sqrt(np.sum(diff * diff, axis=-1))
