@@ -27,7 +27,8 @@ from .errors import ConfigError, Overlap, StepRejected
 from .potentials import PotentialSpec
 
 _U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_GOLDEN = _U64(_GOLDEN_INT)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 _SALT_LABEL = _U64(0xD6E8FEB86659FD93)
@@ -35,6 +36,8 @@ _SALT_LANE = _U64(0xA0761D6478BD642F)
 _SALT_ROUND = _U64(0xE7037ED1A0B428DB)
 _SALT_U2 = _U64(0x8EBC6AF09C88C6E3)
 _TWO_PI = 2.0 * math.pi
+# round keys are base-_KEY_BASE digit strings of halving paths and attempts
+_KEY_BASE = 131
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -45,6 +48,29 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
+def _draws(seed: int, steps, labels: np.ndarray, d: int, round_key: int) -> np.ndarray:
+    """(len(steps), n, d) standard normals for the uint64 stream ids labels."""
+    counters = [(seed + _GOLDEN_INT * (s + 1)) & 0xFFFFFFFFFFFFFFFF for s in steps]
+    lanes = np.arange(d, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        base = _mix64(np.array(counters, dtype=np.uint64))
+        base = _mix64(base ^ (_SALT_ROUND * _U64(round_key + 1)))[:, None, None]
+        h = _mix64(base ^ (_SALT_LABEL * (labels + _U64(1)))[:, None])
+        h = _mix64(h ^ (_SALT_LANE * (lanes + _U64(1))))
+        u1_bits = _mix64(h + _GOLDEN)
+        u2_bits = _mix64(h ^ _SALT_U2)
+    u1 = ((u1_bits >> _U64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (u2_bits >> _U64(11)).astype(np.float64) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+
+
+# round-key-0 draws of one stream set for a block of consecutive steps:
+# ((seed, d, stream id bytes), first step, (steps, n, d) draws)
+_NOISE_BLOCK: tuple = (None, 0, np.empty((0, 0, 0)))
+_BLOCK_STEPS = 64
+_BLOCK_DRAWS = 4096
+
+
 def label_noise(seed: int, step: int, labels, d: int, round_key: int = 0) -> np.ndarray:
     """Standard normals, one d-vector per label stream.
 
@@ -52,22 +78,28 @@ def label_noise(seed: int, step: int, labels, d: int, round_key: int = 0) -> np.
     The draw for a stream depends only on (seed, step, label id, round_key), so
     identically permuting initial labels and their streams permutes the path
     exactly, and retries redraw without disturbing other streams.
+
+    Round-key-0 draws are computed a block of consecutive steps at a time
+    (up to 64 steps and 4096 numbers) and served from a one-entry memo, bitwise
+    equal to drawing each step alone; redraws (round_key != 0) are computed
+    for their one step and leave the memo alone. The memo is single-threaded
+    module state: it is replaced whole, so concurrent callers still get the
+    right bits but evict each other's blocks.
     """
+    global _NOISE_BLOCK
     if np.isscalar(labels):
-        labels = np.arange(labels)
-    labels = np.asarray(labels, dtype=np.uint64)[:, None]
-    lanes = np.arange(d, dtype=np.uint64)[None, :]
-    counter = (seed + int(_GOLDEN) * (step + 1)) & 0xFFFFFFFFFFFFFFFF
-    with np.errstate(over="ignore"):
-        base = _mix64(np.uint64(counter))
-        base = _mix64(base ^ (_SALT_ROUND * _U64(round_key + 1)))
-        h = _mix64(base ^ (_SALT_LABEL * (labels + _U64(1))))
-        h = _mix64(h ^ (_SALT_LANE * (lanes + _U64(1))))
-        u1_bits = _mix64(h + _GOLDEN)
-        u2_bits = _mix64(h ^ _SALT_U2)
-    u1 = ((u1_bits >> _U64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (u2_bits >> _U64(11)).astype(np.float64) * 2.0**-53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+        labels = np.arange(labels, dtype=np.uint64)
+    labels = np.asarray(labels, dtype=np.uint64)
+    if round_key != 0:
+        return _draws(seed, (step,), labels, d, round_key)[0]
+    key = (seed, d, labels.tobytes())
+    memo_key, first, block = _NOISE_BLOCK
+    if memo_key != key or not first <= step < first + len(block):
+        n_steps = max(1, min(_BLOCK_STEPS, _BLOCK_DRAWS // max(1, labels.size * d)))
+        first = step
+        block = _draws(seed, range(step, step + n_steps), labels, d, 0)
+        _NOISE_BLOCK = (key, first, block)
+    return block[step - first].copy()
 
 
 @dataclass(frozen=True)
@@ -95,6 +127,10 @@ class SimParams:
             raise ConfigError("stride must be >= 1")
         if self.hard_core_mode not in ("reject", "reflect"):
             raise ConfigError("hard_core_mode must be 'reject' or 'reflect'")
+        if not 1 <= self.max_retries <= _KEY_BASE:
+            # retry keys noise_key * _KEY_BASE + attempt stay distinct only
+            # while attempt < _KEY_BASE
+            raise ConfigError(f"max_retries must be in [1, {_KEY_BASE}]")
 
 
 @dataclass
@@ -274,6 +310,7 @@ class _Stepper:
         self.stream_labels = stream_labels
         self.capped = 0
         self.halvings = 0
+        self.redraws = 0  # attempts drawn with a non-zero round key
         self.min_gap = math.inf  # over every accepted update, not just snapshots
 
     def advance(self, points, unwrapped, step_index, dt=None, noise_key=0, depth=0):
@@ -285,8 +322,10 @@ class _Stepper:
         drift, capped = _drift(points, self.domain, self.potentials, params.cell_size)
         self.capped += capped
         sqrt_dt = math.sqrt(dt)
-        for attempt in range(max(1, params.max_retries)):
-            key = noise_key * 131 + attempt
+        for attempt in range(params.max_retries):
+            key = noise_key * _KEY_BASE + attempt
+            if key:
+                self.redraws += 1
             incr = drift * dt + sqrt_dt * label_noise(params.seed, step_index, streams, d, key)
             proposal = _apply_boundary(points + incr, self.domain)
             if not self.potentials.has_hard_core or n < 2:
@@ -306,9 +345,9 @@ class _Stepper:
         self.halvings += 1
         half = dt / 2.0
         points, unwrapped = self.advance(points, unwrapped, step_index, half,
-                                         noise_key * 131 + 101, depth + 1)
+                                         noise_key * _KEY_BASE + 101, depth + 1)
         return self.advance(points, unwrapped, step_index, half,
-                            noise_key * 131 + 102, depth + 1)
+                            noise_key * _KEY_BASE + 102, depth + 1)
 
 
 def step(state: LabeledState, potentials: PotentialSpec, dt: float, seed: int,
@@ -363,6 +402,7 @@ def simulate(initial: LabeledState, potentials: PotentialSpec,
     diagnostics = {
         "capped_forces": stepper.capped,
         "step_halvings": stepper.halvings,
+        "noise_redraws": stepper.redraws,
         "min_pair_gap": stepper.min_gap,
     }
     return Trajectory(

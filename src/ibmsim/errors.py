@@ -68,4 +68,4 @@ class ConfigError(IbmSimError):
 
 
 class NonConvergenceWarning(UserWarning):
-    """MCMC acceptance rate outside the healthy range."""
+    """MCMC move acceptance below the healthy floor."""

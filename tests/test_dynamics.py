@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from ibmsim import dynamics
 from ibmsim.configuration import Configuration, Domain, KLabeledState, LabeledState, kappa
 from ibmsim.dynamics import (
     SimParams,
@@ -19,6 +21,39 @@ from ibmsim.potentials import PotentialSpec
 def ou_stationary_variance(drift_rate: float = 1.0, diffusion: float = 1.0) -> float:
     # dX = -a X dt + sqrt(D) dB  =>  Var_inf = D / (2a)
     return diffusion / (2.0 * drift_rate)
+
+
+def _mix64(z):
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def reference_noise(seed, step, labels, d, round_key=0):
+    """The one-step label_noise formula, kept as the reference for the block
+    draws: one counter per call, hashed per (label, lane)."""
+    u64 = np.uint64
+    golden = u64(0x9E3779B97F4A7C15)
+    if np.isscalar(labels):
+        labels = np.arange(labels)
+    labels = np.asarray(labels, dtype=np.uint64)[:, None]
+    lanes = np.arange(d, dtype=np.uint64)[None, :]
+    counter = (seed + int(golden) * (step + 1)) & 0xFFFFFFFFFFFFFFFF
+    with np.errstate(over="ignore"):
+        base = _mix64(np.uint64(counter))
+        base = _mix64(base ^ (u64(0xE7037ED1A0B428DB) * u64(round_key + 1)))
+        h = _mix64(base ^ (u64(0xD6E8FEB86659FD93) * (labels + u64(1))))
+        h = _mix64(h ^ (u64(0xA0761D6478BD642F) * (lanes + u64(1))))
+        u1_bits = _mix64(h + golden)
+        u2_bits = _mix64(h ^ u64(0x8EBC6AF09C88C6E3))
+    u1 = ((u1_bits >> u64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (u2_bits >> u64(11)).astype(np.float64) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 
 class TestPotentialGradients:
@@ -180,6 +215,75 @@ class TestNoise:
         assert abs(np.mean(z**3)) < 0.02
 
 
+class TestNoiseBlocks:
+    """Round-key-0 draws come from blocks of steps; every draw must carry the
+    bits of the one-step formula whatever the call order."""
+
+    @pytest.mark.parametrize("n,d", [(3, 1), (10, 1), (7, 3), (100, 2)])
+    def test_runs_across_block_boundaries(self, n, d):
+        for s in range(1, 201):
+            assert_same_bits(label_noise(17, s, n, d), reference_noise(17, s, n, d))
+
+    def test_backward_and_random_access(self):
+        rng = np.random.default_rng(40)
+        order = list(range(150, 0, -1)) + [int(s) for s in rng.permutation(300)]
+        for s in order:
+            assert_same_bits(label_noise(5, s, 4, 2), reference_noise(5, s, 4, 2))
+
+    def test_interleaved_seeds_round_keys_and_steps(self):
+        rng = np.random.default_rng(41)
+        dom = Domain(1, "torus", 6.0)
+        state = LabeledState([1.0, 3.0, 5.0], dom)
+        pot = PotentialSpec(psi="soft_core", psi_strength=0.7)
+        for s in range(1, 130):
+            for seed in (3, 4):
+                for key in (0, int(rng.choice([1, 131, 13232]))):
+                    assert_same_bits(label_noise(seed, s, 6, 1, key),
+                                     reference_noise(seed, s, 6, 1, key))
+            if s % 7 == 0:
+                step(state, pot, dt=1e-3, seed=int(rng.integers(100)), step_index=s)
+
+    def test_permuted_stream_labels(self):
+        perm = np.random.default_rng(42).permutation(9)
+        for s in range(1, 100):
+            draw = label_noise(8, s, perm, 2)
+            assert_same_bits(draw, reference_noise(8, s, perm, 2))
+            assert_same_bits(draw, label_noise(8, s, 9, 2)[perm])
+
+    def test_stream_id_types_share_bits(self):
+        for s in range(1, 80):
+            ref = reference_noise(2, s, 5, 3)
+            for labels in (5, np.arange(5, dtype=np.int64), np.arange(5, dtype=np.uint64)):
+                assert_same_bits(label_noise(2, s, labels, 3), ref)
+
+    def test_large_stream_sets_draw_one_step_blocks(self):
+        # n * d above the block's 4096 numbers leaves one step per block
+        for s in (1, 2, 3, 2, 70):
+            assert_same_bits(label_noise(9, s, 2049, 2), reference_noise(9, s, 2049, 2))
+            assert dynamics._NOISE_BLOCK[2].shape == (1, 2049, 2)
+
+    def test_negative_seed(self):
+        for s in range(1, 140):
+            assert_same_bits(label_noise(-12345, s, 3, 1), reference_noise(-12345, s, 3, 1))
+
+    def test_pinned_digest(self):
+        # SHA-256 of these draws from the one-step implementation
+        parts = []
+        for seed, labels, d in ((0, 3, 1), (20091, np.array([4, 0, 2]), 2), (-7, 10, 3)):
+            for s in (1, 2, 63, 64, 65, 1000):
+                for key in (0, 1, 131):
+                    parts.append(label_noise(seed, s, labels, d, key).tobytes())
+        digest = hashlib.sha256(b"".join(parts)).hexdigest()
+        assert digest == "6ae4164dfbd83dc8e6742ed4998cfba86f46a4d564ee51a765021c95b2f1a8c0"
+
+    def test_returned_array_is_a_fresh_copy(self):
+        first = label_noise(6, 10, 4, 2)
+        first[:] = 0.0
+        again = label_noise(6, 10, 4, 2)
+        assert_same_bits(again, reference_noise(6, 10, 4, 2))
+        assert not np.shares_memory(first, again)
+
+
 class TestSimulate:
     def test_free_increments_are_gaussian(self):
         dom = Domain(1, "free", 100.0)
@@ -271,6 +375,26 @@ class TestSimulate:
         radii = np.sqrt(np.sum(traj.positions**2, axis=2))
         assert np.all(radii <= 1.5 + 1e-9)
 
+    def test_noise_redraws_counted(self, monkeypatch):
+        keys = []
+
+        def counting(seed, step_index, labels, d, round_key=0):
+            keys.append(round_key)
+            return label_noise(seed, step_index, labels, d, round_key)
+
+        monkeypatch.setattr(dynamics, "label_noise", counting)
+        dom = Domain(1, "torus", 8.0)
+        state = LabeledState(np.arange(10)[:, None] * 0.8, dom)
+        hard = PotentialSpec(psi="hard_core", hard_core_diameter=0.3)
+        params = SimParams(dt=1e-3, t_end=0.05, seed=11, max_retries=3)
+        with pytest.warns(UserWarning, match="halving"):
+            traj = simulate(state, hard, params)
+        redraws = sum(key != 0 for key in keys)
+        assert traj.diagnostics["noise_redraws"] == redraws > 0
+        assert traj.diagnostics["step_halvings"] > 0
+        soft = PotentialSpec(psi="soft_core", psi_strength=0.5)
+        assert simulate(state, soft, params).diagnostics["noise_redraws"] == 0
+
     def test_running_max_is_monotone_displacement_bound(self):
         dom = Domain(1, "torus", 6.0)
         state = LabeledState([1.0, 3.0], dom)
@@ -278,6 +402,18 @@ class TestSimulate:
         traj = simulate(state, PotentialSpec(), params)
         assert np.all(np.diff(traj.running_max, axis=0) >= 0)
         assert np.all(traj.running_max[0] == 0)
+
+
+class TestSimParams:
+    @pytest.mark.parametrize("max_retries", [0, 132])
+    def test_max_retries_outside_key_range_rejected(self, max_retries):
+        # retry keys noise_key * 131 + attempt collide once attempt reaches 131
+        with pytest.raises(ConfigError):
+            SimParams(max_retries=max_retries)
+
+    @pytest.mark.parametrize("max_retries", [1, 131])
+    def test_max_retries_in_key_range_accepted(self, max_retries):
+        assert SimParams(max_retries=max_retries).max_retries == max_retries
 
 
 class TestStep:

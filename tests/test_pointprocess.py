@@ -1,11 +1,13 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from ibmsim.configuration import Domain
-from ibmsim.errors import AcceptanceTooLow, ConfigError, WindowTooLarge
+from ibmsim.errors import AcceptanceTooLow, ConfigError, NonConvergenceWarning, WindowTooLarge
 from ibmsim.pointprocess import (
     DPPSpec,
     GibbsChain,
@@ -108,6 +110,48 @@ class TestGibbs:
         ses = batch.std(axis=0, ddof=1) / math.sqrt(batch.shape[0])
         pooled = means.mean()
         assert np.all(np.abs(means - pooled) < 3 * ses + 1e-9)
+
+    @pytest.mark.parametrize("pot,activity,burn_in,seed", [
+        (PotentialSpec(), 1.25, 2000, 3),
+        (PotentialSpec(psi="soft_core", psi_strength=0.8, psi_range=0.6, r_cut=3.0), 1.2, 4000, 4),
+    ], ids=["free", "soft-core"])
+    def test_healthy_chain_does_not_warn(self, pot, activity, burn_in, seed):
+        # pooled over births and deaths these chains accept 0.82-0.94 of all
+        # proposals, which is no sign of a poor move step
+        chain = GibbsChain(GibbsSpec(pot, activity=activity, burn_in=burn_in),
+                           Domain(1, "torus", 8.0), seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonConvergenceWarning)
+            chain.sample()
+        assert chain.proposals == burn_in
+        assert chain.accepted == sum(chain.accepts.values())
+        assert set(chain.proposed) == {"move", "birth", "death"}
+        if not pot.has_pair:
+            assert chain.accepts["move"] == chain.proposed["move"]
+
+    def test_overshooting_moves_warn(self):
+        dom = Domain(2, "torus", 4.0)
+        pot = PotentialSpec(psi="hard_core", hard_core_diameter=0.6)
+        spec = GibbsSpec(pot, activity=1000.0, burn_in=10_000, proposal_scale=50.0)
+        chain = GibbsChain(spec, dom, seed=7)
+        with pytest.warns(NonConvergenceWarning, match="proposal_scale below 50"):
+            chain.sample()
+        assert chain.accepts["move"] < 0.05 * chain.proposed["move"]
+
+    def test_samples_pinned(self):
+        # SHA-256 of these samples from the chain before it counted per move
+        # type: the counters draw no random numbers
+        h = hashlib.sha256()
+        for pot, dom in (
+            (PotentialSpec(), Domain(1, "torus", 8.0)),
+            (PotentialSpec(psi="soft_core", psi_strength=0.8, psi_range=0.6, r_cut=3.0),
+             Domain(1, "torus", 8.0)),
+            (PotentialSpec(psi="hard_core", hard_core_diameter=0.3), Domain(2, "ball", 2.0)),
+        ):
+            chain = GibbsChain(GibbsSpec(pot, activity=1.2, burn_in=1000, thin=20), dom, seed=5)
+            for _ in range(5):
+                h.update(chain.sample().points.tobytes())
+        assert h.hexdigest() == "f78e9285297ac010cfea452baf1752f393c9372c03d4de442bc355d99a4de91d"
 
     def test_sample_gibbs_single_call(self):
         dom = Domain(1, "torus", 5.0)
