@@ -168,33 +168,27 @@ class SmoothProduct(SmoothMap):
                 + self.b.values(pts)[:, None] * self.a.gradients(pts))
 
 
+def _no_tagged(x, d: int) -> np.ndarray:
+    """Zero gradient in the tagged slots of a function that ignores them."""
+    return np.zeros_like(np.atleast_2d(x)) if np.size(x) else np.zeros((0, d))
+
+
 class CylinderFunction:
     """Base class; value(x, pts) with x (k, d) tagged and pts (m, d) background.
 
-    Subclasses built from smooth blocks also provide analytic grad_tagged /
-    grad_points; the finite-difference machinery in `forms` never uses them.
+    Subclasses built from smooth blocks also provide the analytic
+    `grads(x, pts) -> (tagged (k, d), background (m, d))`; the
+    finite-difference route in `forms` never uses it.
     """
 
     k: int = 0
     d: int = 1
-    window: float | None = None
 
     def value(self, x: np.ndarray, pts: np.ndarray) -> float:
         raise NotImplementedError
 
-    def grad_tagged(self, x, pts) -> np.ndarray:
+    def grads(self, x, pts) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
-
-    def grad_points(self, x, pts) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def has_analytic_gradients(self) -> bool:
-        cls = type(self)
-        return (
-            cls.grad_tagged is not CylinderFunction.grad_tagged
-            and cls.grad_points is not CylinderFunction.grad_points
-        )
 
     def __add__(self, other):
         return CylSum(self, other)
@@ -218,11 +212,8 @@ class Constant(CylinderFunction):
     def value(self, x, pts):
         return self.c
 
-    def grad_tagged(self, x, pts):
-        return np.zeros_like(np.atleast_2d(x)) if np.size(x) else np.zeros((0, self.d))
-
-    def grad_points(self, x, pts):
-        return np.zeros_like(pts)
+    def grads(self, x, pts):
+        return _no_tagged(x, self.d), np.zeros_like(pts)
 
 
 class LinearStatistic(CylinderFunction):
@@ -230,20 +221,15 @@ class LinearStatistic(CylinderFunction):
 
     k = 0
 
-    def __init__(self, phi: SmoothMap, window: float | None = None):
+    def __init__(self, phi: SmoothMap):
         self.phi = phi
         self.d = phi.d
-        self.window = window
 
     def value(self, x, pts):
         return math.fsum(self.phi.values(pts).tolist())
 
-    def grad_tagged(self, x, pts):
-        x = np.atleast_2d(x) if np.size(x) else np.zeros((0, self.d))
-        return np.zeros_like(x)
-
-    def grad_points(self, x, pts):
-        return self.phi.gradients(pts)
+    def grads(self, x, pts):
+        return _no_tagged(x, self.d), self.phi.gradients(pts)
 
 
 class PairStatistic(CylinderFunction):
@@ -265,11 +251,7 @@ class PairStatistic(CylinderFunction):
         pts, i, j = self._pairs(pts)
         return 0.5 * math.fsum(self.phi.values(pts[i] - pts[j]).tolist())
 
-    def grad_tagged(self, x, pts):
-        x = np.atleast_2d(x) if np.size(x) else np.zeros((0, self.d))
-        return np.zeros_like(x)
-
-    def grad_points(self, x, pts):
+    def grads(self, x, pts):
         pts, i, j = self._pairs(pts)
         n = pts.shape[0]
         g = np.zeros((n, n, self.d))
@@ -280,7 +262,7 @@ class PairStatistic(CylinderFunction):
         grad = np.zeros_like(pts)
         for col in range(n):
             grad += term[:, col]
-        return grad
+        return _no_tagged(x, self.d), grad
 
 
 class TaggedFunction(CylinderFunction):
@@ -296,12 +278,10 @@ class TaggedFunction(CylinderFunction):
     def value(self, x, pts):
         return self.psi.value(np.asarray(x, dtype=float).reshape(self.k * self.d))
 
-    def grad_tagged(self, x, pts):
+    def grads(self, x, pts):
         flat = np.asarray(x, dtype=float).reshape(self.k * self.d)
-        return self.psi.gradient(flat).reshape(self.k, self.d)
-
-    def grad_points(self, x, pts):
-        return np.zeros_like(np.atleast_2d(pts))
+        return (self.psi.gradient(flat).reshape(self.k, self.d),
+                np.zeros_like(np.atleast_2d(pts)))
 
 
 class CylSum(CylinderFunction):
@@ -313,11 +293,9 @@ class CylSum(CylinderFunction):
     def value(self, x, pts):
         return self.a.value(x, pts) + self.b.value(x, pts)
 
-    def grad_tagged(self, x, pts):
-        return self.a.grad_tagged(x, pts) + self.b.grad_tagged(x, pts)
-
-    def grad_points(self, x, pts):
-        return self.a.grad_points(x, pts) + self.b.grad_points(x, pts)
+    def grads(self, x, pts):
+        (ta, pa), (tb, pb) = self.a.grads(x, pts), self.b.grads(x, pts)
+        return ta + tb, pa + pb
 
 
 class CylScale(CylinderFunction):
@@ -328,11 +306,9 @@ class CylScale(CylinderFunction):
     def value(self, x, pts):
         return self.c * self.a.value(x, pts)
 
-    def grad_tagged(self, x, pts):
-        return self.c * self.a.grad_tagged(x, pts)
-
-    def grad_points(self, x, pts):
-        return self.c * self.a.grad_points(x, pts)
+    def grads(self, x, pts):
+        tagged, background = self.a.grads(x, pts)
+        return self.c * tagged, self.c * background
 
 
 class CylProduct(CylinderFunction):
@@ -344,15 +320,10 @@ class CylProduct(CylinderFunction):
     def value(self, x, pts):
         return self.a.value(x, pts) * self.b.value(x, pts)
 
-    def grad_tagged(self, x, pts):
-        return self.a.value(x, pts) * self.b.grad_tagged(x, pts) + self.b.value(
-            x, pts
-        ) * self.a.grad_tagged(x, pts)
-
-    def grad_points(self, x, pts):
-        return self.a.value(x, pts) * self.b.grad_points(x, pts) + self.b.value(
-            x, pts
-        ) * self.a.grad_points(x, pts)
+    def grads(self, x, pts):
+        va, vb = self.a.value(x, pts), self.b.value(x, pts)
+        (ta, pa), (tb, pb) = self.a.grads(x, pts), self.b.grads(x, pts)
+        return va * tb + vb * ta, va * pb + vb * pa
 
 
 class CylCompose(CylinderFunction):
@@ -367,21 +338,19 @@ class CylCompose(CylinderFunction):
     def value(self, x, pts):
         return float(self.outer(self.inner.value(x, pts)))
 
-    def grad_tagged(self, x, pts):
-        return self.outer_prime(self.inner.value(x, pts)) * self.inner.grad_tagged(x, pts)
-
-    def grad_points(self, x, pts):
-        return self.outer_prime(self.inner.value(x, pts)) * self.inner.grad_points(x, pts)
+    def grads(self, x, pts):
+        slope = self.outer_prime(self.inner.value(x, pts))
+        tagged, background = self.inner.grads(x, pts)
+        return slope * tagged, slope * background
 
 
 class Evaluator(CylinderFunction):
     """Black-box cylinder function from a bare evaluator (no analytic route)."""
 
-    def __init__(self, fn: Callable, k: int, d: int, window: float | None = None):
+    def __init__(self, fn: Callable, k: int, d: int):
         self.fn = fn
         self.k = k
         self.d = d
-        self.window = window
 
     def value(self, x, pts):
         return float(self.fn(x, pts))

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configuration import Configuration
-from .cylinder import CylinderFunction, Evaluator, SmoothMap, row_dots, tensor_product
-from .errors import TooManyPoints
+from .cylinder import CylinderFunction, SmoothMap, row_dots, tensor_product
+from .errors import KMismatch, TooManyPoints
 
 DEFAULT_STEP = 1e-5
+EXACT_CAP = 8  # most points whose m! assignments are enumerated
 
 
 @dataclass
@@ -67,26 +68,35 @@ def _central_diff(value_at, arr, h: float) -> np.ndarray:
     return grad
 
 
-def fd_grad_points(f: CylinderFunction, x, pts, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Central-difference gradient in every background coordinate."""
-    return _central_diff(lambda work: f.value(x, work), pts, h)
+def fd_grads(f: CylinderFunction, x, pts, h: float = DEFAULT_STEP):
+    """Central-difference gradients (tagged (k, d), background (m, d)): one
+    pass over the stacked tagged and background coordinates."""
+    k = len(x)
+    both = _central_diff(lambda work: f.value(work[:k], work[k:]),
+                         np.concatenate([x, pts]), h)
+    return both[:k], both[k:]
 
 
-def fd_grad_tagged(f: CylinderFunction, x, pts, h: float = DEFAULT_STEP) -> np.ndarray:
-    return _central_diff(lambda work: f.value(work, pts), x, h)
+def _grads_of(f: CylinderFunction, g: CylinderFunction, x, pts, h: float,
+              analytic: bool):
+    """(tagged, background) gradients of f and of g, by one route."""
+    if analytic:
+        return f.grads(x, pts), g.grads(x, pts)
+    return fd_grads(f, x, pts, h), fd_grads(g, x, pts, h)
+
+
+def _unlabeled(*fns: CylinderFunction) -> None:
+    if any(fn.k != 0 for fn in fns):
+        raise KMismatch("an unlabeled form takes functions with k = 0, got k = "
+                        + ", ".join(str(fn.k) for fn in fns))
 
 
 def gamma_unlabeled(f: CylinderFunction, g: CylinderFunction, config,
                     h: float = DEFAULT_STEP, analytic: bool = False) -> float:
     """Unlabeled carre du champ: half the sum over points of grad f . grad g."""
+    _unlabeled(f, g)
     pts = _points_of(config)
-    empty = np.zeros((0, pts.shape[1]))
-    if analytic:
-        gf = f.grad_points(empty, pts)
-        gg = g.grad_points(empty, pts)
-    else:
-        gf = fd_grad_points(f, empty, pts, h)
-        gg = fd_grad_points(g, empty, pts, h)
+    (_, gf), (_, gg) = _grads_of(f, g, np.zeros((0, pts.shape[1])), pts, h, analytic)
     return 0.5 * float(np.sum(gf * gg))
 
 
@@ -94,13 +104,7 @@ def gamma_k(f: CylinderFunction, g: CylinderFunction, x, config,
             h: float = DEFAULT_STEP, analytic: bool = False) -> float:
     """k-labeled form: tagged-gradient part plus the background form."""
     pts = _points_of(config)
-    tag = _tag_of(x, pts.shape[1])
-    if analytic:
-        tf, tg = f.grad_tagged(tag, pts), g.grad_tagged(tag, pts)
-        pf, pg = f.grad_points(tag, pts), g.grad_points(tag, pts)
-    else:
-        tf, tg = fd_grad_tagged(f, tag, pts, h), fd_grad_tagged(g, tag, pts, h)
-        pf, pg = fd_grad_points(f, tag, pts, h), fd_grad_points(g, tag, pts, h)
+    (tf, pf), (tg, pg) = _grads_of(f, g, _tag_of(x, pts.shape[1]), pts, h, analytic)
     return 0.5 * float(np.sum(tf * tg)) + 0.5 * float(np.sum(pf * pg))
 
 
@@ -124,21 +128,16 @@ def D_operator_coordinate_sum(f: CylinderFunction, config, x=None,
     pts = _points_of(config)
     d = pts.shape[1]
     tag = _tag_of(x if x is not None else np.zeros((0, d)), d)
-    return fd_grad_points(f, tag, pts, h).sum(axis=0)
+    return fd_grads(f, tag, pts, h)[1].sum(axis=0)
 
 
 def gamma_Y(f: CylinderFunction, g: CylinderFunction, config,
             h: float = DEFAULT_STEP) -> float:
     """Environment form: 1/2 (Df, Dg) plus the unlabeled form."""
+    _unlabeled(f, g)
     return 0.5 * float(
         D_operator(f, config, h=h) @ D_operator(g, config, h=h)
     ) + gamma_unlabeled(f, g, config, h)
-
-
-def _d_minus_nabla(f: CylinderFunction, x, config, h: float) -> np.ndarray:
-    pts = _points_of(config)
-    tag = _tag_of(x, pts.shape[1])
-    return D_operator(f, pts, tag, h) - fd_grad_tagged(f, tag, pts, h)[0]
 
 
 def gamma_XY(f: CylinderFunction, g: CylinderFunction, x, config,
@@ -146,12 +145,11 @@ def gamma_XY(f: CylinderFunction, g: CylinderFunction, x, config,
     """Coupled tagged-and-environment form for 1-labeled functions."""
     pts = _points_of(config)
     tag = _tag_of(x, pts.shape[1])
-    vf = _d_minus_nabla(f, tag, pts, h)
-    vg = _d_minus_nabla(g, tag, pts, h)
-    background = 0.5 * float(
-        np.sum(fd_grad_points(f, tag, pts, h) * fd_grad_points(g, tag, pts, h))
-    )
-    return 0.5 * float(vf @ vg) + background
+    (tf, pf), (tg, pg) = fd_grads(f, tag, pts, h), fd_grads(g, tag, pts, h)
+    # D minus the gradient in the tagged point
+    vf = D_operator(f, pts, tag, h) - tf[0]
+    vg = D_operator(g, pts, tag, h) - tg[0]
+    return 0.5 * float(vf @ vg) + 0.5 * float(np.sum(pf * pg))
 
 
 class _IotaComposed(CylinderFunction):
@@ -166,16 +164,10 @@ class _IotaComposed(CylinderFunction):
         x = np.atleast_2d(x)
         return self.f.value(x, np.atleast_2d(pts) - x[0])
 
-    def grad_tagged(self, x, pts):
+    def grads(self, x, pts):
         x = np.atleast_2d(x)
-        shifted = np.atleast_2d(pts) - x[0]
-        return self.f.grad_tagged(x, shifted) - self.f.grad_points(x, shifted).sum(
-            axis=0, keepdims=True
-        )
-
-    def grad_points(self, x, pts):
-        x = np.atleast_2d(x)
-        return self.f.grad_points(x, np.atleast_2d(pts) - x[0])
+        tagged, background = self.f.grads(x, np.atleast_2d(pts) - x[0])
+        return tagged - background.sum(axis=0, keepdims=True), background
 
 
 def compose_iota(f: CylinderFunction) -> CylinderFunction:
@@ -288,25 +280,18 @@ def _assignments(x, config, perms):
         yield sel, q[:k], q[k:]
 
 
-def _exact_perms(m: int, exact_cap: int, what: str):
-    if m > exact_cap:
-        raise TooManyPoints(f"{what} capped at m = {exact_cap}")
+def _exact_perms(m: int, what: str):
+    if m > EXACT_CAP:
+        raise TooManyPoints(f"{what} capped at m = {EXACT_CAP}")
     return itertools.permutations(range(m))
 
 
-def symmetrize(h_fn: CylinderFunction, x, config, mode: str = "exact",
-               exact_cap: int = 8, n_mc: int = 2000, seed: int = 0) -> float:
-    """Average of h over all assignments of the m = k + |s| points to the
-    tagged slots and the background; exact enumeration for m <= exact_cap,
-    random permutations beyond."""
+def symmetrize(h_fn: CylinderFunction, x, config) -> float:
+    """Average of h over all m! assignments of the m = k + |s| points to the
+    tagged slots and the background, for m <= EXACT_CAP."""
     pts = _points_of(config)
     tag = _tag_of(x, pts.shape[1])
-    m = tag.shape[0] + pts.shape[0]
-    if mode == "exact":
-        perms = _exact_perms(m, exact_cap, "exact symmetrization")
-    else:
-        rng = np.random.default_rng(seed)
-        perms = [rng.permutation(m) for _ in range(n_mc)]
+    perms = _exact_perms(tag.shape[0] + pts.shape[0], "exact symmetrization")
     vals = [h_fn.value(t, b) for _, t, b in _assignments(tag, pts, perms)]
     first = vals[0]
     if all(v == first for v in vals):
@@ -316,53 +301,39 @@ def symmetrize(h_fn: CylinderFunction, x, config, mode: str = "exact",
 
 
 class _Symmetrized(CylinderFunction):
-    def __init__(self, h_fn: CylinderFunction, exact_cap: int = 8):
+    def __init__(self, h_fn: CylinderFunction):
         self.h_fn = h_fn
-        self.exact_cap = exact_cap
         self.k, self.d = h_fn.k, h_fn.d
 
     def value(self, x, pts):
-        return symmetrize(self.h_fn, x, pts, exact_cap=self.exact_cap)
+        return symmetrize(self.h_fn, x, pts)
 
-    def _grads(self, x, pts):
+    def grads(self, x, pts):
         pts = _points_of(pts)
         tag = _tag_of(x, pts.shape[1])
         k = tag.shape[0]
         m = k + pts.shape[0]
-        perms = _exact_perms(m, self.exact_cap, "exact symmetrization")
+        perms = _exact_perms(m, "exact symmetrization")
         out = np.zeros((m, pts.shape[1]))
         for sel, t, b in _assignments(tag, pts, perms):
-            out[sel] += np.concatenate(
-                [self.h_fn.grad_tagged(t, b), self.h_fn.grad_points(t, b)], axis=0
-            )
+            out[sel] += np.concatenate(self.h_fn.grads(t, b), axis=0)
         out /= math.factorial(m)
         return out[:k], out[k:]
 
-    def grad_tagged(self, x, pts):
-        return self._grads(x, pts)[0]
 
-    def grad_points(self, x, pts):
-        return self._grads(x, pts)[1]
-
-
-def symmetrized(h_fn: CylinderFunction, exact_cap: int = 8) -> CylinderFunction:
+def symmetrized(h_fn: CylinderFunction) -> CylinderFunction:
     """h as a symmetric function of the underlying point multiset."""
-    return _Symmetrized(h_fn, exact_cap)
+    return _Symmetrized(h_fn)
 
 
 def exchange_energy(h_fn: CylinderFunction, x, config, h: float = DEFAULT_STEP,
-                    exact_cap: int = 8, analytic: bool = False) -> float:
+                    analytic: bool = False) -> float:
     """k-labeled form energy averaged over all tagged/background assignments
     of the point multiset (the exchangeable measure the symmetrization
     contraction is stated for)."""
     pts = _points_of(config)
     tag = _tag_of(x, pts.shape[1])
-    perms = _exact_perms(tag.shape[0] + pts.shape[0], exact_cap, "exchange energy")
+    perms = _exact_perms(tag.shape[0] + pts.shape[0], "exchange energy")
     total = [gamma_k(h_fn, h_fn, t, b, h, analytic=analytic)
              for _, t, b in _assignments(tag, pts, perms)]
     return math.fsum(total) / len(total)
-
-
-def make_evaluator(fn, k: int, d: int, window: float | None = None) -> CylinderFunction:
-    """Wrap a bare (x, pts) -> real evaluator as a cylinder function."""
-    return Evaluator(fn, k, d, window)

@@ -32,6 +32,7 @@ from .cylinder import (
 from .dynamics import SimParams, simulate, simulate_k_labeled
 from .errors import ConfigError
 from .forms import (
+    EXACT_CAP,
     FormReport,
     check_iota_identity,
     check_product_formula,
@@ -463,9 +464,12 @@ def _run_forms(cfg, seed: int) -> list[PipelineRow]:
     # every count is checked before any work: a zero would pass checking nothing
     n_pairs = _count(sec, "iota_pairs")
     n_pointwise = _count(sec, "pointwise_samples")
-    n_mc = _count(sec, "mc_samples", least=2)
+    n_samples = _count(sec, "mc_samples", least=2)
     n_oracle = _count(sec, "oracle_samples")
     n_contraction = _count(sec, "contraction_instances")
+    cap = sec.getint("idempotence_max_points")
+    if cap > EXACT_CAP:
+        raise ConfigError(f"idempotence_max_points must be at most {EXACT_CAP}, got {cap}")
     rng = np.random.default_rng(seed)
     rows = []
 
@@ -474,7 +478,7 @@ def _run_forms(cfg, seed: int) -> list[PipelineRow]:
     rows.append(PipelineRow("iota-identity-max-residual", worst, f"< {thr}",
                             worst < thr))
 
-    report = product_check(seed + 13, seed + 29, n_pointwise, n_mc,
+    report = product_check(seed + 13, seed + 29, n_pointwise, n_samples,
                            sec.getfloat("product_h"))
     thr = sec.getfloat("product_threshold")
     rows.append(PipelineRow("product-pointwise-max-residual", report.max_residual,
@@ -500,7 +504,6 @@ def _run_forms(cfg, seed: int) -> list[PipelineRow]:
     # symmetrization: exact idempotence (full composition for small m, the
     # equivalent bitwise permutation invariance up to the cap: identical
     # values make re-averaging return them unchanged)
-    cap = sec.getint("idempotence_max_points")
     idem_exact = True
     for m in (3, 4, 5):
         h_fn = random_cylinder(rng, 1, 1)
@@ -512,8 +515,8 @@ def _run_forms(cfg, seed: int) -> list[PipelineRow]:
     h_fn = LinearStatistic(Gaussian(1.0, [0.2], 0.9)) + LinearStatistic(
         Gaussian(-0.5, [-0.4], 1.3)
     )
+    sym = symmetrized(h_fn)
     for m in range(6, cap + 1):
-        sym = symmetrized(h_fn, exact_cap=cap)
         stacked = rng.uniform(-1.5, 1.5, size=(m, 1))
         base = sym.value(stacked[:1], stacked[1:])
         for _ in range(3):

@@ -175,26 +175,31 @@ class GibbsChain:
         for _ in range(n_steps):
             self.step()
 
-    def _check_health(self) -> None:
+    def _check_health(self, moves: int, accepted: int) -> None:
         # births and deaths follow the activity, not a tunable step, so only
         # the random-walk moves are judged
-        moves = self.proposed["move"]
         if moves < 200:
             return
-        rate = self.accepts["move"] / moves
+        rate = accepted / moves
         if rate < _ACCEPT_LO:
             warnings.warn(
-                f"Gibbs move acceptance {rate:.3f} below {_ACCEPT_LO} over {moves} "
-                f"moves; try a proposal_scale below {self.spec.proposal_scale}",
+                f"Gibbs move acceptance {rate:.3f} below {_ACCEPT_LO} over the last "
+                f"{moves} moves of the burn-in; try a proposal_scale below "
+                f"{self.spec.proposal_scale}",
                 NonConvergenceWarning,
             )
 
     def sample(self) -> Configuration:
         """Burn in on first use, then advance `thin` proposals per sample."""
         if not self._burned:
-            self.run(self.spec.burn_in)
+            # judge the burn-in's second half only: the fill-up from an empty
+            # configuration says nothing of the equilibrium move acceptance
+            half = self.spec.burn_in // 2
+            self.run(half)
+            moves, accepted = self.proposed["move"], self.accepts["move"]
+            self.run(self.spec.burn_in - half)
             self._burned = True
-            self._check_health()
+            self._check_health(self.proposed["move"] - moves, self.accepts["move"] - accepted)
         else:
             self.run(self.spec.thin)
         return Configuration(self._points.copy(), self.domain, validate=False)

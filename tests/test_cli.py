@@ -174,6 +174,7 @@ class TestPipelineCommand:
     @pytest.mark.parametrize("key, value", [
         ("iota_pairs", 0), ("pointwise_samples", 0), ("mc_samples", 1),
         ("oracle_samples", 0), ("contraction_instances", 0),
+        ("idempotence_max_points", 9),
     ])
     def test_counts_that_check_nothing_rejected(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "forms.cfg"

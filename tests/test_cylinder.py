@@ -74,7 +74,7 @@ def ref_pair_value(phi, pts):
     )
 
 
-def ref_pair_grad_points(phi, pts):
+def ref_pair_gradients(phi, pts):
     n = pts.shape[0]
     grad = np.zeros_like(pts)
     for i in range(n):
@@ -153,7 +153,7 @@ class TestStatisticsKeepTheirBits:
                 pts = points(rng, int(rng.integers(1, 9)), d)
                 assert same_bits(f.value(empty, pts),
                                  math.fsum(ref_value(phi, p) for p in pts))
-                assert same_bits(f.grad_points(empty, pts),
+                assert same_bits(f.grads(empty, pts)[1],
                                  np.array([ref_gradient(phi, p) for p in pts]))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -165,7 +165,7 @@ class TestStatisticsKeepTheirBits:
                 f = PairStatistic(phi)
                 pts = points(rng, int(rng.integers(1, 7)), d)
                 assert same_bits(f.value(empty, pts), ref_pair_value(phi, pts))
-                assert same_bits(f.grad_points(empty, pts), ref_pair_grad_points(phi, pts))
+                assert same_bits(f.grads(empty, pts)[1], ref_pair_gradients(phi, pts))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_statistics_bitwise_invariant_under_row_permutation(self, d):
@@ -185,5 +185,5 @@ class TestStatisticsKeepTheirBits:
         for phi in blocks(rng, d).values():
             for f in (LinearStatistic(phi), PairStatistic(phi)):
                 assert same_bits(f.value(empty, empty), 0.0)
-                assert same_bits(f.grad_points(empty, empty), np.zeros((0, d)))
+                assert same_bits(f.grads(empty, empty)[1], np.zeros((0, d)))
             assert same_bits(PairStatistic(phi).value(empty, np.ones((1, d))), 0.0)

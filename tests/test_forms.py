@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from ibmsim.configuration import Configuration, Domain
 from ibmsim.cylinder import (
     Bump,
     Constant,
+    Evaluator,
     Gaussian,
     LinearStatistic,
     PairStatistic,
@@ -16,18 +18,18 @@ from ibmsim.cylinder import (
     random_smooth,
     tensor_product,
 )
-from ibmsim.errors import TooManyPoints
+from ibmsim.errors import KMismatch, TooManyPoints
 from ibmsim.forms import (
     D_operator,
     D_operator_coordinate_sum,
     check_iota_identity,
     check_product_formula,
+    compose_iota,
     exchange_energy,
     gamma_XY,
     gamma_Y,
     gamma_k,
     gamma_unlabeled,
-    make_evaluator,
     quadrature_norms,
     symmetrize,
     symmetrized,
@@ -79,7 +81,7 @@ class TestSmoothBlocks:
     def test_window_locality(self):
         # a windowed statistic ignores points outside the window
         phi = Gaussian(1.0, [0.0], 0.5) * Bump(2.0, 1)
-        f = LinearStatistic(phi, window=2.0)
+        f = LinearStatistic(phi)
         inside = np.array([[0.3], [-1.0]])
         outside = np.vstack([inside, [[5.0], [-3.0]]])
         empty = np.zeros((0, 1))
@@ -121,6 +123,22 @@ class TestGammaUnlabeled:
         lhs = gamma_unlabeled(f + 2.0 * w, g, config)
         rhs = gamma_unlabeled(f, g, config) + 2.0 * gamma_unlabeled(w, g, config)
         assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["evaluator", "random"])
+    def test_labeled_functions_rejected(self, kind):
+        # evaluated with an empty tagged tuple, a k = 1 Evaluator gave a
+        # number and a k = 1 random cylinder died in a reshape
+        rng = np.random.default_rng(13)
+        labeled = (Evaluator(lambda x, pts: 1.0 + float(np.sum(x)), k=1, d=1)
+                   if kind == "evaluator" else random_cylinder(rng, 1, 1))
+        unlabeled = random_cylinder(rng, 0, 1)
+        config = free_config([[0.2], [0.9]])
+        for f, g in ((labeled, unlabeled), (unlabeled, labeled), (labeled, labeled)):
+            for analytic in (False, True):
+                with pytest.raises(KMismatch):
+                    gamma_unlabeled(f, g, config, analytic=analytic)
+            with pytest.raises(KMismatch):
+                gamma_Y(f, g, config)
 
 
 class TestGammaK:
@@ -200,8 +218,8 @@ class TestGammaYandXY:
             pts = rng.uniform(-1, 1, size=(3, 1))
             config = free_config(pts)
             empty = np.zeros((0, 1))
-            df = f.grad_points(empty, pts).sum(axis=0)
-            dg = g.grad_points(empty, pts).sum(axis=0)
+            df = f.grads(empty, pts)[1].sum(axis=0)
+            dg = g.grads(empty, pts)[1].sum(axis=0)
             exact = 0.5 * float(df @ dg) + gamma_unlabeled(f, g, config, analytic=True)
             assert gamma_Y(f, g, config) == pytest.approx(exact, rel=1e-5, abs=1e-7)
 
@@ -294,7 +312,7 @@ class TestSymmetrize:
         assert sym_val == f.value(np.zeros((0, 1)), np.array([[0.5], [1.5]]))
 
     def test_two_point_average(self):
-        h = make_evaluator(lambda x, pts: float(np.atleast_2d(x)[0, 0]), k=1, d=1)
+        h = Evaluator(lambda x, pts: float(np.atleast_2d(x)[0, 0]), k=1, d=1)
         val = symmetrize(h, [[2.0]], free_config([[5.0]]))
         assert val == pytest.approx(3.5)
 
@@ -308,10 +326,10 @@ class TestSymmetrize:
         assert once == twice  # bitwise
 
     def test_too_many_points(self):
-        h = make_evaluator(lambda x, pts: 0.0, k=1, d=1)
+        h = Evaluator(lambda x, pts: 0.0, k=1, d=1)
         config = free_config(np.arange(9)[:, None] * 0.5)
         with pytest.raises(TooManyPoints):
-            symmetrize(h, [[0.1]], config, exact_cap=8)
+            symmetrize(h, [[0.1]], config)
 
     def test_energy_contraction(self):
         rng = np.random.default_rng(10)
@@ -323,11 +341,33 @@ class TestSymmetrize:
             sym = exchange_energy(symmetrized(h), x, config)
             assert sym <= raw + 1e-9 * (1.0 + abs(raw))
 
-    def test_mc_mode_close_to_exact(self):
-        rng = np.random.default_rng(11)
-        h = random_cylinder(rng, 1, 1)
-        x = [[0.2]]
-        config = free_config(rng.uniform(-1, 1, size=(4, 1)))
-        exact = symmetrize(h, x, config)
-        approx = symmetrize(h, x, config, mode="mc", n_mc=4000, seed=1)
-        assert approx == pytest.approx(exact, abs=0.2 * (1 + abs(exact)))
+
+def form_values(rng, d):
+    """Every form of seeded random cylinder functions, FD and analytic."""
+    empty = np.zeros((0, d))
+    pts = rng.uniform(-1.5, 1.5, size=(3, d))
+    f0, g0 = random_cylinder(rng, 0, d), random_cylinder(rng, 0, d)
+    vals = [gamma_unlabeled(f0, g0, pts), gamma_unlabeled(f0, g0, pts, analytic=True),
+            gamma_Y(f0, g0, pts), *D_operator_coordinate_sum(f0, pts)]
+    for k in (0, 1, 2):
+        f, g = random_cylinder(rng, k, d), random_cylinder(rng, k, d)
+        x = rng.uniform(-1, 1, size=(k, d)) if k else empty
+        vals += [gamma_k(f, g, x, pts), gamma_k(f, g, x, pts, analytic=True)]
+    f, g = random_cylinder(rng, 1, d), random_cylinder(rng, 1, d)
+    x = rng.uniform(-1, 1, size=(1, d))
+    report = check_iota_identity(f, g, x, pts)
+    sym = symmetrized(f)
+    vals += [gamma_XY(f, g, x, pts), report.extra["lhs"], report.extra["rhs"],
+             gamma_k(compose_iota(f), compose_iota(g), x, pts, analytic=True),
+             exchange_energy(sym, x, pts[:2]), exchange_energy(sym, x, pts, analytic=True)]
+    return vals
+
+
+class TestFormsKeepTheirBits:
+    def test_pinned_digest(self):
+        # SHA-256 of these values from the route with separate tagged and
+        # background gradient methods
+        rng = np.random.default_rng(551)
+        parts = [np.array(form_values(rng, d)).tobytes() for d in (1, 2) for _ in range(4)]
+        digest = hashlib.sha256(b"".join(parts)).hexdigest()
+        assert digest == "d6b943b441a27838494d79e1c7199ee8f98eebf795e890ba156c46bc2453351b"

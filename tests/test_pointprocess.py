@@ -138,6 +138,17 @@ class TestGibbs:
             chain.sample()
         assert chain.accepts["move"] < 0.05 * chain.proposed["move"]
 
+    def test_equilibrium_move_failure_warns(self):
+        # the fill-up from an empty torus accepts moves at 0.050 over the
+        # whole burn-in; its second half runs at 0.032 over 985 moves
+        dom = Domain(1, "torus", 8.0)
+        pot = PotentialSpec(psi="hard_core", hard_core_diameter=0.5)
+        spec = GibbsSpec(pot, activity=1e5, burn_in=4000, proposal_scale=50.0)
+        chain = GibbsChain(spec, dom, seed=7)
+        with pytest.warns(NonConvergenceWarning, match="0.032 below 0.05 over the last 985 moves"):
+            chain.sample()
+        assert chain.accepts["move"] >= 0.05 * chain.proposed["move"]
+
     def test_samples_pinned(self):
         # SHA-256 of these samples from the chain before it counted per move
         # type: the counters draw no random numbers
