@@ -5,12 +5,12 @@ criterion, and trajectory diagnostics (MSD, explosion scans)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from .configuration import Configuration, KLabeledState, falling_factorial, kappa
+from .configuration import BALL, Configuration, KLabeledState, falling_factorial, kappa
 from .errors import InsufficientSamples
 
 _SE_FLOOR_REL = 1e-9  # paired z-scores: identical routes differ only by float noise
@@ -40,11 +40,12 @@ def _positions_1d(samples) -> list[np.ndarray]:
     return out
 
 
-def _bootstrap_se(per_sample: np.ndarray, statistic, n_boot: int, seed: int):
+def _bootstrap_se(per_sample: np.ndarray, n_boot: int, seed: int):
+    """Bootstrap standard error of the mean over the first (sample) axis."""
     rng = np.random.default_rng(seed)
     n = per_sample.shape[0]
-    stats = [statistic(per_sample[rng.integers(0, n, size=n)]) for _ in range(n_boot)]
-    return np.std(np.asarray(stats), axis=0, ddof=1)
+    means = [per_sample[rng.integers(0, n, size=n)].mean(axis=0) for _ in range(n_boot)]
+    return np.std(np.asarray(means), axis=0, ddof=1)
 
 
 def estimate_rho(samples, order: int, edges, n_boot: int = 200,
@@ -72,7 +73,7 @@ def estimate_rho(samples, order: int, edges, n_boot: int = 200,
     if order == 1:
         per_sample = hist / widths
         values = per_sample.mean(axis=0)
-        stderr = _bootstrap_se(per_sample, lambda a: a.mean(axis=0), n_boot, seed)
+        stderr = _bootstrap_se(per_sample, n_boot, seed)
         return CorrelationEstimate(1, edges, values, stderr, total, n)
 
     m = hist.astype(float)
@@ -82,40 +83,15 @@ def estimate_rho(samples, order: int, edges, n_boot: int = 200,
     area = widths[:, None] * widths[None, :]
     per_sample = cross / area
     values = per_sample.mean(axis=0)
-    stderr = _bootstrap_se(per_sample, lambda a: a.mean(axis=0), n_boot, seed)
+    stderr = _bootstrap_se(per_sample, n_boot, seed)
     pair_counts = cross.sum(axis=0)
     return CorrelationEstimate(2, edges, values, stderr, pair_counts, n)
 
 
-def mean_intensity(samples):
-    """(mean count / volume, standard error) over sampled configurations."""
+def mean_intensity(samples) -> float:
+    """Mean count / volume over sampled configurations."""
     counts = np.array([len(s) for s in samples], dtype=float)
-    volume = samples[0].domain.volume
-    se = counts.std(ddof=1) / math.sqrt(len(counts)) / volume
-    return counts.mean() / volume, se
-
-
-def pair_correlation_separation(samples, edges, n_boot: int = 200, seed: int = 0):
-    """Separation-pooled two-point estimate for 1-d interval windows |x| < w.
-
-    Returns (centers, rho2, stderr, pair_counts). The geometry factor for an
-    ordered-pair separation bin B in [0, 2w) is 2 * integral_B (2w - s) ds.
-    """
-    edges = np.asarray(edges, dtype=float)
-    dom = samples[0].domain
-    w = dom.size
-    counts = []
-    for s in samples:
-        x = s.points[:, 0]
-        sep = np.abs(x[:, None] - x[None, :])[np.triu_indices(x.size, k=1)]
-        counts.append(2.0 * np.histogram(sep, bins=edges)[0])  # ordered pairs
-    counts = np.asarray(counts, dtype=float)
-    geom = 2.0 * (2.0 * w * np.diff(edges) - 0.5 * np.diff(edges**2))
-    per_sample = counts / geom
-    values = per_sample.mean(axis=0)
-    stderr = _bootstrap_se(per_sample, lambda a: a.mean(axis=0), n_boot, seed)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, values, stderr, counts.sum(axis=0)
+    return counts.mean() / samples[0].domain.volume
 
 
 def _disk_set_covariance(s, radius):
@@ -129,33 +105,58 @@ def _disk_set_covariance(s, radius):
     return out
 
 
-def disk_separation_weight(s, radius):
-    """Density of ordered-pair separations in a disk window: 2 pi s times the
-    area of the window overlapped with itself shifted by s."""
-    return 2.0 * math.pi * np.asarray(s, dtype=float) * _disk_set_covariance(s, radius)
+def separation_weight(s, radius, d: int):
+    """Density of ordered-pair separations s in the window |x| < radius: the
+    sphere measure at s times the window's overlap with itself shifted by s,
+    2 (2 radius - s) for an interval (d = 1), 2 pi s gamma(s) for a disk (d = 2)."""
+    if d == 1:
+        return 2.0 * np.maximum(2.0 * radius - np.asarray(s, dtype=float), 0.0)
+    if d == 2:
+        return 2.0 * math.pi * np.asarray(s, dtype=float) * _disk_set_covariance(s, radius)
+    raise ValueError("separation windows are intervals (d = 1) or disks (d = 2)")
 
 
-def pair_correlation_disk(samples, edges, n_boot: int = 200, seed: int = 0):
-    """Separation-pooled two-point estimate for disk windows |z| < w (d = 2)."""
+def pair_correlation_separation(samples, edges):
+    """Separation-pooled two-point estimate for interval (d = 1) or disk
+    (d = 2) windows |x| < w.
+
+    Returns (centers, rho2, pair_counts): ordered-pair counts per separation
+    bin B, divided by the number of samples and the bin measure, the integral
+    of `separation_weight` over B (closed form for an interval, a 4096-point
+    trapezoid CDF for a disk).
+    """
     edges = np.asarray(edges, dtype=float)
-    radius = samples[0].domain.size
+    dom = samples[0].domain
+    if dom.geometry != BALL:
+        raise ValueError(f"separation windows are balls |x| < w, not a {dom.geometry}")
+    radius, d = dom.size, dom.dimension
     counts = []
     for s in samples:
-        pts = s.points
-        diff = pts[:, None, :] - pts[None, :, :]
-        sep = np.sqrt(np.sum(diff * diff, axis=-1))[np.triu_indices(len(pts), k=1)]
-        counts.append(2.0 * np.histogram(sep, bins=edges)[0])
+        i, j = np.triu_indices(len(s), k=1)
+        sep = dom.distance(s.points[i], s.points[j])
+        counts.append(2.0 * np.histogram(sep, bins=edges)[0])  # ordered pairs
     counts = np.asarray(counts, dtype=float)
-    # ordered-pair measure of a separation bin: integral_B 2 pi s gamma_W(s) ds
-    grid = np.linspace(edges[0], edges[-1], 4096)
-    density = 2.0 * math.pi * grid * _disk_set_covariance(grid, radius)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid))])
-    geom = np.interp(edges[1:], grid, cdf) - np.interp(edges[:-1], grid, cdf)
-    per_sample = counts / geom
-    values = per_sample.mean(axis=0)
-    stderr = _bootstrap_se(per_sample, lambda a: a.mean(axis=0), n_boot, seed)
+    if d == 1:
+        geom = 2.0 * (2.0 * radius * np.diff(edges) - 0.5 * np.diff(edges**2))
+    else:
+        grid = np.linspace(edges[0], edges[-1], 4096)
+        density = separation_weight(grid, radius, d)
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1])
+                                               * np.diff(grid))])
+        geom = np.interp(edges[1:], grid, cdf) - np.interp(edges[:-1], grid, cdf)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, values, stderr, counts.sum(axis=0)
+    return centers, (counts / geom).mean(axis=0), counts.sum(axis=0)
+
+
+def paired_z(lhs, rhs):
+    """(z, se) of the mean paired difference lhs - rhs. The se is floored at
+    1e-9 of the scale of the means, so identical routes (float noise only)
+    read z = 0 and a constant nonzero difference reads |z| >> 3."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    diff = lhs - rhs
+    se = diff.std(ddof=1) / math.sqrt(diff.size)
+    scale = _SE_FLOOR_REL * (1.0 + abs(lhs.mean()) + abs(rhs.mean()))
+    return float(diff.mean() / max(se, scale)), float(se)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +188,19 @@ def _factorial_moment_products(samples, sets, ks) -> np.ndarray:
     return out
 
 
-def _batch_se(values: np.ndarray, n_batches: int) -> float:
+_CAMPBELL_BINS = 4      # bins per test set for the correlation-function route
+_CAMPBELL_BATCHES = 20
+
+
+def _batch_se(values: np.ndarray) -> float:
     """Standard error of the mean from batch means; robust to the serial
     correlation of thinned-chain samples."""
-    batches = np.array_split(np.asarray(values, dtype=float), n_batches)
+    batches = np.array_split(np.asarray(values, dtype=float), _CAMPBELL_BATCHES)
     means = np.array([b.mean() for b in batches])
     return float(means.std(ddof=1) / math.sqrt(len(means)))
 
 
-def campbell_check(samples, sets, ks, n_bins: int = 4, n_boot: int = 200,
-                   seed: int = 0, n_batches: int = 20) -> CampbellReport:
+def campbell_check(samples, sets, ks) -> CampbellReport:
     """Two-route check of the defining factorial-moment identity.
 
     Route one estimates the correlation function on bins tiling the test sets
@@ -225,40 +229,38 @@ def campbell_check(samples, sets, ks, n_bins: int = 4, n_boot: int = 200,
     active = [(s, k) for s, k in zip(sets, ks) if k > 0]
     if order == 1:
         (lo, hi), _ = active[0]
-        edges = np.linspace(lo, hi, n_bins + 1)
-        est = estimate_rho(est_samples, 1, edges, n_boot=n_boot, seed=seed)
+        edges = np.linspace(lo, hi, _CAMPBELL_BINS + 1)
+        est = estimate_rho(est_samples, 1, edges, n_boot=2)  # its stderr is not read
         widths = np.diff(edges)
         lhs = float(est.values @ widths)
         per = np.array(
             [np.count_nonzero((p >= lo) & (p < hi)) for p in _positions_1d(est_samples)],
             dtype=float,
         )
-        lhs_se = _batch_se(per, n_batches)
+        lhs_se = _batch_se(per)
     else:
         if len(active) == 1:
             (lo, hi), _ = active[0]
-            edges = np.linspace(lo, hi, n_bins + 1)
-            sel_a = sel_b = np.arange(n_bins)
+            edges = np.linspace(lo, hi, _CAMPBELL_BINS + 1)
+            sel_a = sel_b = np.arange(_CAMPBELL_BINS)
         else:
             (lo_a, hi_a), _ = active[0]
             (lo_b, hi_b), _ = active[1]
-            edges = np.concatenate(
-                [np.linspace(lo_a, hi_a, n_bins + 1), np.linspace(lo_b, hi_b, n_bins + 1)]
-            )
+            edges = np.concatenate([np.linspace(lo_a, hi_a, _CAMPBELL_BINS + 1),
+                                    np.linspace(lo_b, hi_b, _CAMPBELL_BINS + 1)])
             edges = np.unique(edges)
             sel_a = np.nonzero((edges[:-1] >= lo_a) & (edges[1:] <= hi_a))[0]
             sel_b = np.nonzero((edges[:-1] >= lo_b) & (edges[1:] <= hi_b))[0]
-        est = estimate_rho(est_samples, 2, edges, n_boot=n_boot, seed=seed,
-                           min_expected=0.0)
+        est = estimate_rho(est_samples, 2, edges, n_boot=2, min_expected=0.0)
         widths = np.diff(edges)
         area = widths[sel_a][:, None] * widths[sel_b][None, :]
         lhs = float(np.sum(est.values[np.ix_(sel_a, sel_b)] * area))
         per = _factorial_moment_products(est_samples, sets, ks)
-        lhs_se = _batch_se(per, n_batches)
+        lhs_se = _batch_se(per)
 
     emp = _factorial_moment_products(emp_samples, sets, ks)
     rhs = float(emp.mean())
-    rhs_se = _batch_se(emp, n_batches)
+    rhs_se = _batch_se(emp)
     return CampbellReport(sets, ks, lhs, lhs_se, rhs, rhs_se)
 
 
@@ -332,12 +334,9 @@ def pushforward_check(sampler, r: float, k: int, n_cap: int, replicas: int,
         rest = config.without(chosen)
         lhs[i] = weight * F(kappa(KLabeledState(tagged, rest, validate=False)))
         rhs[i] = weight * F(config)
-    diff = lhs - rhs
-    se = diff.std(ddof=1) / math.sqrt(replicas)
-    scale = _SE_FLOOR_REL * (1.0 + abs(lhs.mean()) + abs(rhs.mean()))
-    z = diff.mean() / max(se, scale)
+    z, se = paired_z(lhs, rhs)
     return PushforwardReport(k, r, n_cap, float(lhs.mean()), float(rhs.mean()),
-                             float(se), float(z), replicas)
+                             se, z, replicas)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +398,12 @@ class CriterionResult:
     log_evidence: np.ndarray
     T: float
     R: float
-    extra: dict = field(default_factory=dict)
 
 
 _DECAY_FACTOR = 1e-12
 _TREND_WINDOW = 10
+_SCAN_T = (0.25, 0.5, 1.0, 2.0)
+_SCAN_R = (1.0, 10.0)
 
 
 def nonexplosion_criterion(log_rho1, d: int, T: float, R: float) -> CriterionResult:
@@ -436,18 +436,17 @@ def nonexplosion_criterion(log_rho1, d: int, T: float, R: float) -> CriterionRes
     return CriterionResult(verdict, r, log_evidence, T, R)
 
 
-def nonexplosion_scan(log_rho1, d: int, T_values=(0.25, 0.5, 1.0, 2.0),
-                      R_values=(1.0, 10.0)):
-    """Existence scan over T (the criterion quantifies 'there exists T > 0
-    such that for each R'); returns the overall verdict and the per-(T, R)
-    evidence table."""
+def nonexplosion_scan(log_rho1, d: int):
+    """Existence scan over T in (0.25, 0.5, 1, 2) and R in (1, 10) (the
+    criterion quantifies 'there exists T > 0 such that for each R'); returns
+    the overall verdict and the per-(T, R) evidence table."""
     results = {}
-    for T in T_values:
-        for R in R_values:
+    for T in _SCAN_T:
+        for R in _SCAN_R:
             results[(T, R)] = nonexplosion_criterion(log_rho1, d, T, R)
     satisfied_T = [
-        T for T in T_values
-        if all(results[(T, R)].verdict == "satisfied" for R in R_values)
+        T for T in _SCAN_T
+        if all(results[(T, R)].verdict == "satisfied" for R in _SCAN_R)
     ]
     if satisfied_T:
         verdict = "satisfied"
@@ -489,13 +488,8 @@ def msd(trajectories, tag: int | None = None, n_boot: int = 200,
         idx = 0 if tag is None else tag
         pos = np.stack([t.positions[:, idx, :] for t in trajectories], axis=1)
     disp = np.sum((pos - pos[0]) ** 2, axis=2)  # (t, replicas)
-    values = disp.mean(axis=1)
-    rng = np.random.default_rng(seed)
-    n = disp.shape[1]
-    boot = np.array(
-        [disp[:, rng.integers(0, n, size=n)].mean(axis=1) for _ in range(n_boot)]
-    )
-    return MSDCurve(first.times.copy(), values, boot.std(axis=0, ddof=1))
+    return MSDCurve(first.times.copy(), disp.mean(axis=1),
+                    _bootstrap_se(disp.T, n_boot, seed))
 
 
 @dataclass

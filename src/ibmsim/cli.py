@@ -30,7 +30,6 @@ from .persistence import (
     build_sampler,
     build_sim_params,
     config_sha256,
-    load_config,
     manifest,
     parse_config,
     read_trajectory,
@@ -78,7 +77,7 @@ def _report_comments(kind: str, config_text: str, seed: int) -> list[str]:
 
 def cmd_sample(args) -> int:
     text = _read_config_text(args.config)
-    cfg = load_config(args.config)
+    cfg = parse_config(text)
     domain = build_domain(cfg)
     started = time.time()
     sampler = build_sampler(cfg, domain, args.seed)
@@ -91,7 +90,7 @@ def cmd_sample(args) -> int:
 
 def cmd_simulate(args) -> int:
     text = _read_config_text(args.config)
-    cfg = load_config(args.config)
+    cfg = parse_config(text)
     domain = build_domain(cfg)
     potentials = build_potentials(cfg)
     params = build_sim_params(cfg, seed=args.seed)
@@ -120,7 +119,7 @@ def _collect_samples(cfg, seed, n):
 
 def cmd_analyze(args) -> int:
     text = _read_config_text(args.config)
-    cfg = load_config(args.config)
+    cfg = parse_config(text)
     sec = _analysis_section(cfg)
     started = time.time()
     comments = _report_comments(args.kind, text, args.seed)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import paired_z
 from .configuration import Configuration
-from .cylinder import CylinderFunction, SmoothMap, row_dots, tensor_product
+from .cylinder import Bump, CylinderFunction, SmoothMap, row_dots, tensor_product
 from .errors import KMismatch, TooManyPoints
 
 DEFAULT_STEP = 1e-5
@@ -206,24 +207,20 @@ def quadrature_norms(phi: SmoothMap, radius: float, n: int = 2001):
     )
 
 
-def check_product_formula(phi: SmoothMap, f: CylinderFunction, sampler,
+def check_product_formula(phi: Bump, f: CylinderFunction, sampler,
                           n_pointwise: int = 20, n_samples: int = 2000,
-                          support_radius: float | None = None,
                           h: float = 1e-4, seed: int = 0) -> FormReport:
     """Pointwise residual of the tensor-product expansion of the coupled form
     and the paired Monte Carlo check of its integrated version, in which the
     cross term integrates to zero over x.
 
-    sampler(seed) must return background configurations; phi must vanish
-    outside |x| <= support_radius (defaults to Bump radius when present).
+    sampler(seed) must return background configurations; x is drawn from the
+    box |x_a| <= phi.radius, outside which the bump phi vanishes.
     """
     if f.k != 0:
         raise ValueError("product formula needs an unlabeled cylinder function")
     d = phi.d
-    if support_radius is None:
-        support_radius = getattr(phi, "radius", None)
-        if support_radius is None:
-            raise ValueError("pass support_radius for a non-bump phi")
+    radius = phi.radius
     rng = np.random.default_rng(seed)
     pf = tensor_product(phi, f)
 
@@ -231,7 +228,7 @@ def check_product_formula(phi: SmoothMap, f: CylinderFunction, sampler,
     for i in range(n_pointwise):
         config = sampler(seed * 92821 + i)
         pts = config.points
-        x = rng.uniform(-support_radius, support_radius, size=(1, d))
+        x = rng.uniform(-radius, radius, size=(1, d))
         lhs = gamma_XY(pf, pf, x, pts, h)
         fval = f.value(np.zeros((0, d)), pts)
         df = D_operator(f, pts, h=h)
@@ -244,26 +241,23 @@ def check_product_formula(phi: SmoothMap, f: CylinderFunction, sampler,
         max_resid = max(max_resid, abs(lhs - rhs))
 
     # integrated identity: paired sampling, x uniform over the support box
-    norm_sq, grad_norm_sq = quadrature_norms(phi, support_radius)
-    volume = (2.0 * support_radius) ** d
-    diffs = []
+    norm_sq, grad_norm_sq = quadrature_norms(phi, radius)
+    volume = (2.0 * radius) ** d
+    lhs, rhs = np.empty(n_samples), np.empty(n_samples)
     for i in range(n_samples):
         config = sampler(seed * 15485863 + 7 + i)
         pts = config.points
-        x = rng.uniform(-support_radius, support_radius, size=(1, d))
-        lhs_i = volume * gamma_XY(pf, pf, x, pts, h)
+        x = rng.uniform(-radius, radius, size=(1, d))
+        lhs[i] = volume * gamma_XY(pf, pf, x, pts, h)
         fval = f.value(np.zeros((0, d)), pts)
-        rhs_i = norm_sq * gamma_Y(f, f, pts, h) + 0.5 * grad_norm_sq * fval**2
-        diffs.append(lhs_i - rhs_i)
-    diffs = np.asarray(diffs)
-    se = diffs.std(ddof=1) / math.sqrt(n_samples)
-    z = diffs.mean() / se if se > 0 else 0.0
+        rhs[i] = norm_sq * gamma_Y(f, f, pts, h) + 0.5 * grad_norm_sq * fval**2
+    z, se = paired_z(lhs, rhs)
     return FormReport(
         "product-formula",
         max_resid,
         n_pointwise + n_samples,
         h,
-        {"mc_z": z, "mc_mean_diff": diffs.mean(), "mc_se": se},
+        {"mc_z": z, "mc_mean_diff": float(np.mean(lhs - rhs)), "mc_se": se},
     )
 
 

@@ -301,18 +301,15 @@ def build_potentials(cfg) -> PotentialSpec:
 
 
 def build_sim_params(cfg, seed: int | None = None) -> SimParams:
-    sec = cfg["sim"] if "sim" in cfg else {}
-    getf = sec.getfloat if hasattr(sec, "getfloat") else lambda k, v=None: v
-    geti = sec.getint if hasattr(sec, "getint") else lambda k, v=None: v
-    cell = getf("cell_size", 0.0)
+    cell = cfg.getfloat("sim", "cell_size", fallback=0.0)
     return SimParams(
-        dt=getf("dt", 1e-3),
-        t_end=getf("t_end", 1.0),
-        seed=seed if seed is not None else geti("seed", 0),
-        stride=geti("stride", 1),
+        dt=cfg.getfloat("sim", "dt", fallback=1e-3),
+        t_end=cfg.getfloat("sim", "t_end", fallback=1.0),
+        seed=seed if seed is not None else cfg.getint("sim", "seed", fallback=0),
+        stride=cfg.getint("sim", "stride", fallback=1),
         cell_size=None if not cell else cell,
-        hard_core_mode=sec.get("hard_core_mode", "reject") if hasattr(sec, "get") else "reject",
-        max_retries=geti("max_retries", 20),
+        hard_core_mode=cfg.get("sim", "hard_core_mode", fallback="reject"),
+        max_retries=cfg.getint("sim", "max_retries", fallback=20),
     )
 
 

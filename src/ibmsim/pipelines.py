@@ -13,14 +13,14 @@ from scipy import stats
 
 from .analysis import (
     constant_log_profile,
-    disk_separation_weight,
     ell,
     exponential_log_profile,
     gaussian_growth_log_profile,
     mean_intensity,
     nonexplosion_scan,
-    pair_correlation_disk,
     pair_correlation_separation,
+    paired_z,
+    separation_weight,
 )
 from .configuration import Configuration, Domain, KLabeledState, label
 from .cylinder import (
@@ -191,6 +191,13 @@ class PipelineResult:
         return "\n".join(lines)
 
 
+def _count(sec, key: str, least: int = 1) -> int:
+    n = sec.getint(key)
+    if n < least:
+        raise ConfigError(f"{key} must be at least {least}, got {n}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # path functionals for the labeled/unlabeled identity check
 # ---------------------------------------------------------------------------
@@ -216,9 +223,13 @@ def _path_functionals(positions: np.ndarray) -> dict[str, float]:
 
 def _run_thm24(cfg, seed: int) -> list[PipelineRow]:
     sec = cfg["pipeline"]
-    replicas = sec.getint("replicas")
+    replicas = _count(sec, "replicas", least=2)
     n_values = [int(v) for v in sec.get("n_values").split(",")]
     k_values = [int(v) for v in sec.get("k_values").split(",")]
+    if min(k_values) < 1:  # a k = 0 arm reruns the unlabeled arm's paths bit for bit
+        raise ConfigError(f"k_values must be at least 1, got {min(k_values)}")
+    if not any(k < n for n in n_values for k in k_values):
+        raise ConfigError("no (n, k) in n_values x k_values has k < n: nothing to check")
     p_threshold = sec.getfloat("p_threshold", 0.01)
     params_base = dict(
         dt=sec.getfloat("dt"), t_end=sec.getfloat("t_end"), stride=sec.getint("stride")
@@ -266,7 +277,7 @@ def _run_thm24(cfg, seed: int) -> list[PipelineRow]:
 
 def _run_thm27(cfg, seed: int) -> list[PipelineRow]:
     sec = cfg["pipeline"]
-    replicas = sec.getint("replicas")
+    replicas = _count(sec, "replicas", least=2)
     intensity = sec.getfloat("intensity")
     size = sec.getfloat("domain_size")
     params_base = dict(
@@ -296,20 +307,20 @@ def _run_thm27(cfg, seed: int) -> list[PipelineRow]:
         return worst, g0, g1
 
     rows = []
-    setups = [("free", PotentialSpec(), make_poisson_sampler(dom, intensity, seed))]
+    setups = [("free", PotentialSpec(), make_poisson_sampler(dom, intensity, seed), replicas)]
     psi_strength = sec.getfloat("psi_strength", 0.0)
     if psi_strength > 0:
+        n_interacting = (_count(sec, "interacting_replicas", least=2)
+                         if "interacting_replicas" in sec else replicas)
         pot = PotentialSpec(psi="soft_core", psi_strength=psi_strength,
                             psi_range=sec.getfloat("psi_range", 1.0), r_cut=3.0)
         spec = GibbsSpec(pot, beta=1.0, activity=sec.getfloat("activity", intensity),
                          burn_in=sec.getint("burn_in", 20000),
                          thin=sec.getint("thin", 50))
-        setups.append(("interacting", pot, make_gibbs_sampler(spec, dom, seed + 1)))
+        setups.append(("interacting", pot, make_gibbs_sampler(spec, dom, seed + 1),
+                       n_interacting))
 
-    for label_name, pot, sampler in setups:
-        n_reps = replicas if label_name == "free" else sec.getint(
-            "interacting_replicas", replicas
-        )
+    for label_name, pot, sampler, n_reps in setups:
         worst = 0.0
         starts, ends = np.empty(n_reps), np.empty(n_reps)
         for rep in range(n_reps):
@@ -319,13 +330,32 @@ def _run_thm27(cfg, seed: int) -> list[PipelineRow]:
             w, g0, g1 = environment_observable(traj)
             worst = max(worst, w)
             starts[rep], ends[rep] = g0, g1
-        diffs = ends - starts
-        se = diffs.std(ddof=1) / math.sqrt(n_reps)
-        z = diffs.mean() / se if se > 0 else 0.0
+        z, _ = paired_z(ends, starts)
         rows.append(PipelineRow(f"pathwise-iota-identity-{label_name}", worst,
                                 "== 0", worst == 0.0))
         rows.append(PipelineRow(f"environment-stationarity-z-{label_name}",
-                                float(z), "|z| < 3", bool(abs(z) < 3.0)))
+                                z, "|z| < 3", abs(z) < 3.0))
+    return rows
+
+
+def _rho2_rows(field: str, samples, edges, sec, n_grid: int, rho2) -> list[PipelineRow]:
+    """Relative error of the separation-pooled rho2 estimate against the true
+    rho2 averaged over each bin with the window's separation weight (an
+    n_grid-point trapezoid), on bins holding at least min_pair_count pairs."""
+    centers, values, counts = pair_correlation_separation(samples, edges)
+    dom = samples[0].domain
+    tol = sec.getfloat("rho2_tolerance")
+    min_count = sec.getint("min_pair_count")
+    rows = []
+    for j, center in enumerate(centers):
+        if counts[j] < min_count:
+            continue
+        grid = np.linspace(edges[j], edges[j + 1], n_grid)
+        weight = separation_weight(grid, dom.size, dom.dimension)
+        pred = float(np.trapezoid(weight * rho2(grid), grid) / np.trapezoid(weight, grid))
+        rel = abs(values[j] - pred) / pred
+        rows.append(PipelineRow(f"{field}-rho2-s{center:.3g}", float(rel),
+                                f"< {tol}", bool(rel < tol)))
     return rows
 
 
@@ -337,7 +367,7 @@ def _run_dyson(cfg, seed: int) -> list[PipelineRow]:
     rows = []
 
     tol1 = sec.getfloat("rho1_tolerance")
-    rho1, _ = mean_intensity(samples)
+    rho1 = mean_intensity(samples)
     rows.append(PipelineRow("dyson-rho1", float(rho1), f"within {tol1} of 1",
                             bool(abs(rho1 - 1.0) < tol1)))
     # per-bin intensity flatness across the window
@@ -348,25 +378,11 @@ def _run_dyson(cfg, seed: int) -> list[PipelineRow]:
     for b, val in enumerate(per_bin):
         rows.append(PipelineRow(f"dyson-rho1-bin{b}", float(val),
                                 f"within {tol1} of 1", bool(abs(val - 1.0) < tol1)))
-
-    w = spec.window_radius
     edges2 = np.arange(sec.getfloat("rho2_edges_start"),
                        sec.getfloat("rho2_edges_stop") + 1e-9,
                        sec.getfloat("rho2_bin_width"))
-    centers, values, _, counts = pair_correlation_separation(samples, edges2, n_boot=2)
-    tol2 = sec.getfloat("rho2_tolerance")
-    min_count = sec.getint("min_pair_count")
-    for j, center in enumerate(centers):
-        if counts[j] < min_count:
-            continue
-        grid = np.linspace(edges2[j], edges2[j + 1], 400)
-        weight = 2.0 * (2.0 * w - grid)
-        pred = float(np.trapezoid(weight * (1.0 - np.sinc(grid) ** 2), grid)
-                     / np.trapezoid(weight, grid))
-        rel = abs(values[j] - pred) / pred
-        rows.append(PipelineRow(f"dyson-rho2-s{center:.3g}", float(rel),
-                                f"< {tol2}", bool(rel < tol2)))
-    return rows
+    return rows + _rho2_rows("dyson", samples, edges2, sec, 400,
+                             lambda s: 1.0 - np.sinc(s) ** 2)
 
 
 def _run_ginibre(cfg, seed: int) -> list[PipelineRow]:
@@ -374,28 +390,13 @@ def _run_ginibre(cfg, seed: int) -> list[PipelineRow]:
     spec = DPPSpec("ginibre", sec.getint("n_matrix"), sec.getfloat("window_radius"))
     replicas = sec.getint("replicas")
     samples = [sample_ginibre(spec, seed * 27644437 + i) for i in range(replicas)]
-    rows = []
     tol1 = sec.getfloat("rho1_tolerance")
-    rho1, _ = mean_intensity(samples)
+    rho1 = mean_intensity(samples)
     target = 1.0 / math.pi
-    rows.append(PipelineRow("ginibre-rho1", float(rho1),
-                            f"within {tol1} rel of 1/pi",
-                            bool(abs(rho1 - target) / target < tol1)))
-    edges = np.arange(0.25, 3.5, 0.5)
-    centers, values, _, counts = pair_correlation_disk(samples, edges, n_boot=2)
-    tol2 = sec.getfloat("rho2_tolerance")
-    for j, center in enumerate(centers):
-        if counts[j] < sec.getint("min_pair_count"):
-            continue
-        grid = np.linspace(edges[j], edges[j + 1], 200)
-        weight = disk_separation_weight(grid, spec.window_radius)
-        pred_density = (1.0 - np.exp(-grid**2)) / math.pi**2
-        pred = float(np.trapezoid(weight * pred_density, grid)
-                     / np.trapezoid(weight, grid))
-        rel = abs(values[j] - pred) / pred
-        rows.append(PipelineRow(f"ginibre-rho2-s{center:.3g}", float(rel),
-                                f"< {tol2}", bool(rel < tol2)))
-    return rows
+    rows = [PipelineRow("ginibre-rho1", float(rho1), f"within {tol1} rel of 1/pi",
+                        bool(abs(rho1 - target) / target < tol1))]
+    return rows + _rho2_rows("ginibre", samples, np.arange(0.25, 3.5, 0.5), sec, 200,
+                             lambda s: (1.0 - np.exp(-s**2)) / math.pi**2)
 
 
 def _run_nonexplosion(cfg, seed: int) -> list[PipelineRow]:
@@ -452,13 +453,6 @@ def product_check(sampler_seed: int, seed: int, n_pointwise: int, n_samples: int
     )
 
 
-def _count(sec, key: str, least: int = 1) -> int:
-    n = sec.getint(key)
-    if n < least:
-        raise ConfigError(f"{key} must be at least {least}, got {n}")
-    return n
-
-
 def _run_forms(cfg, seed: int) -> list[PipelineRow]:
     sec = cfg["pipeline"]
     # every count is checked before any work: a zero would pass checking nothing
@@ -484,8 +478,7 @@ def _run_forms(cfg, seed: int) -> list[PipelineRow]:
     rows.append(PipelineRow("product-pointwise-max-residual", report.max_residual,
                             f"< {thr}", report.max_residual < thr))
     z = report.extra["mc_z"]
-    rows.append(PipelineRow("product-integrated-mc-z", float(z), "|z| < 3",
-                            bool(abs(z) < 3.0)))
+    rows.append(PipelineRow("product-integrated-mc-z", z, "|z| < 3", abs(z) < 3.0))
 
     # finite differences against the analytic-gradient oracle
     worst_rel = 0.0

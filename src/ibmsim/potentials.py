@@ -44,6 +44,15 @@ class PotentialSpec:
             raise ValueError(f"unknown phi kind {self.phi!r}")
         if self.psi not in PSI_KINDS:
             raise ValueError(f"unknown psi kind {self.psi!r}")
+        if self.phi == "table":
+            r, v = np.asarray(self.phi_table_r, float), np.asarray(self.phi_table_v, float)
+            if r.ndim != 1 or r.size < 2 or v.shape != r.shape or np.any(np.diff(r) <= 0):
+                raise ValueError("phi table needs at least 2 strictly increasing radii "
+                                 "and as many values")
+        if not self.psi_range > 0:
+            raise ValueError("psi_range must be positive")
+        if not self.hard_core_diameter >= 0:
+            raise ValueError("hard_core_diameter must be non-negative")
         if self.psi == "hard_core" and not self.hard_core_diameter > 0:
             raise ValueError("hard_core psi needs hard_core_diameter > 0")
         if not self.r_cut > 0:
@@ -123,6 +132,4 @@ class PotentialSpec:
 
     @property
     def hard_core_sigma(self) -> float:
-        if self.psi == "hard_core":
-            return self.hard_core_diameter
-        return self.hard_core_diameter if self.hard_core_diameter > 0 else 0.0
+        return self.hard_core_diameter

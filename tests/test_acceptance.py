@@ -421,3 +421,26 @@ class TestCriterion11Determinism:
             identical,
             "all six pipelines reproduce byte-identical reports on rerun",
         )
+
+
+class _ShiftedObservable:
+    """Stands in for the stationarity observable: every replica reads 1.0 at
+    the start frame and exactly 0.1 more at the end frame."""
+
+    def __init__(self, block):
+        self.calls = 0
+
+    def value(self, x, pts):
+        self.calls += 1
+        start = 1.0
+        return start if self.calls % 2 else start + 0.1
+
+
+class TestStationarityConstantShift:
+    def test_constant_shift_fails(self, monkeypatch):
+        import ibmsim.pipelines as pipelines
+
+        monkeypatch.setattr(pipelines, "LinearStatistic", _ShiftedObservable)
+        result = run_pipeline("thm27-environment", MINI_CONFIGS["thm27-environment"])
+        row = {r.check: r for r in result.rows}["environment-stationarity-z-free"]
+        assert not row.passed and row.value > 1e6

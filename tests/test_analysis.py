@@ -19,6 +19,7 @@ from ibmsim.analysis import (
     nonexplosion_criterion,
     nonexplosion_scan,
     pair_correlation_separation,
+    paired_z,
     pushforward_check,
     shell_partition,
 )
@@ -94,10 +95,10 @@ class TestDysonCorrelations:
     def test_rho2_matches_sine_kernel(self):
         spec = DPPSpec("sine", n_matrix=300, window_radius=8.0)
         samples = [sample_dyson_sine(spec, s) for s in range(100)]
-        rho1, _ = mean_intensity(samples)
+        rho1 = mean_intensity(samples)
         assert rho1 * 16.0 / 16.0 == pytest.approx(1.0, rel=0.08)
         edges = np.arange(0.25, 4.01, 0.75)
-        centers, values, stderr, counts = pair_correlation_separation(samples, edges)
+        centers, values, counts = pair_correlation_separation(samples, edges)
         w = 8.0
         for j in range(len(centers)):
             if counts[j] < 200:
@@ -109,6 +110,51 @@ class TestDysonCorrelations:
                 weight, grid
             )
             assert abs(values[j] - pred) / pred < 0.1
+
+
+class TestPairCorrelationSeparation:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_pair_counts_match_double_loop(self, d):
+        dom = Domain(d, "ball", 3.0)
+        samples = [sample_poisson(dom, 1.5, 40 + s) for s in range(5)]
+        edges = np.linspace(0.0, 6.0, 9)
+        _, _, counts = pair_correlation_separation(samples, edges)
+        expected = np.zeros(len(edges) - 1)
+        for config in samples:
+            pts = config.points
+            for i in range(len(pts)):
+                for j in range(len(pts)):
+                    if i != j:
+                        sep = np.sqrt(np.sum((pts[i] - pts[j]) ** 2))
+                        expected[min(np.searchsorted(edges, sep, "right") - 1,
+                                     len(edges) - 2)] += 1
+        assert np.array_equal(counts, expected)
+
+    def test_torus_rejected(self):
+        samples = [sample_poisson(Domain(1, "torus", 10.0), 2.0, s) for s in range(3)]
+        with pytest.raises(ValueError):
+            pair_correlation_separation(samples, np.linspace(0.5, 4.5, 5))
+
+    def test_poisson_in_disk(self):
+        lam = 1.0
+        dom = Domain(2, "ball", 3.0)
+        samples = [sample_poisson(dom, lam, 100 + s) for s in range(1000)]
+        edges = np.arange(0.25, 6.0, 0.5)
+        _, values, counts = pair_correlation_separation(samples, edges)
+        kept = counts >= 200
+        assert kept.sum() >= 8
+        assert np.all(np.abs(values[kept] / lam**2 - 1.0) < 0.1)
+
+
+class TestPairedZ:
+    def test_identical_routes_read_zero(self):
+        x = np.random.default_rng(5).normal(size=40)
+        assert paired_z(x, x.copy()) == (0.0, 0.0)
+
+    def test_constant_shift_fails(self):
+        x = np.random.default_rng(6).normal(size=40)
+        z, se = paired_z(x + 0.1, x)
+        assert se < 1e-15 and z > 1e6
 
 
 class TestDppIntensityIntegral:

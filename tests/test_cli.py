@@ -53,6 +53,38 @@ contraction_instances = 5
 idempotence_max_points = 6
 """
 
+SMALL_THM24 = """
+[pipeline]
+name = thm24-identity
+seed = 1
+replicas = 4
+n_values = 3
+k_values = 1
+dt = 2e-3
+t_end = 0.01
+stride = 5
+"""
+
+SMALL_THM27 = """
+[pipeline]
+name = thm27-environment
+seed = 2
+replicas = 3
+intensity = 1.0
+domain_size = 8.0
+dt = 1e-3
+t_end = 0.01
+stride = 5
+interacting_replicas = 3
+psi_strength = 0.6
+psi_range = 0.7
+burn_in = 500
+thin = 10
+"""
+
+SMALL_CONFIGS = {"forms-suite": SMALL_FORMS, "thm24-identity": SMALL_THM24,
+                 "thm27-environment": SMALL_THM27}
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -75,6 +107,13 @@ class TestSampleAndSimulate:
         traj = read_trajectory(out)
         assert traj.times[-1] == pytest.approx(0.05)
         assert "config_sha256" in traj.provenance
+
+
+    def test_bad_potentials_exit_with_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG.replace("psi_range = 0.7", "psi_range = 0"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "t.txt")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad [potentials]")
 
 
 class TestAnalyze:
@@ -171,15 +210,22 @@ class TestPipelineCommand:
         b = open(f"{out_b}/forms-suite.tsv", "rb").read()
         assert a == b
 
-    @pytest.mark.parametrize("key, value", [
-        ("iota_pairs", 0), ("pointwise_samples", 0), ("mc_samples", 1),
-        ("oracle_samples", 0), ("contraction_instances", 0),
-        ("idempotence_max_points", 9),
+    @pytest.mark.parametrize("name, key, value", [
+        *[pytest.param("forms-suite", key, value, id=f"{key}-{value}") for key, value in (
+            ("iota_pairs", 0), ("pointwise_samples", 0), ("mc_samples", 1),
+            ("oracle_samples", 0), ("contraction_instances", 0),
+            ("idempotence_max_points", 9),
+        )],
+        ("thm24-identity", "k_values", 3),  # no (n, k) with k < n
+        ("thm24-identity", "k_values", 0),  # the unlabeled arm against itself
+        ("thm24-identity", "replicas", 1),
+        ("thm27-environment", "replicas", 1),
+        ("thm27-environment", "interacting_replicas", 1),
     ])
-    def test_counts_that_check_nothing_rejected(self, tmp_path, capsys, key, value):
-        cfg = tmp_path / "forms.cfg"
-        cfg.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", SMALL_FORMS))
-        assert main(["pipeline", "--name", "forms-suite", "--config", str(cfg)]) == 2
+    def test_counts_that_check_nothing_rejected(self, tmp_path, capsys, name, key, value):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", SMALL_CONFIGS[name]))
+        assert main(["pipeline", "--name", name, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_pipeline_rejected(self):

@@ -56,6 +56,25 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+class TestPotentialSpecValidation:
+    @pytest.mark.parametrize("kwargs", [
+        dict(phi="table"),
+        dict(phi="table", phi_table_r=(0.0,), phi_table_v=(1.0,)),
+        dict(phi="table", phi_table_r=(0.0, 1.0, 1.0), phi_table_v=(0.0, 1.0, 2.0)),
+        dict(phi="table", phi_table_r=(0.0, 1.0), phi_table_v=(0.0,)),
+        dict(psi="soft_core", psi_range=0.0),
+        dict(psi="lennard_jones", psi_range=-1.0),
+        dict(hard_core_diameter=-0.5),
+    ])
+    def test_rejected_when_built(self, kwargs):
+        with pytest.raises(ValueError):
+            PotentialSpec(**kwargs)
+
+    def test_hard_core_sigma_is_the_diameter(self):
+        assert PotentialSpec().hard_core_sigma == 0.0
+        assert PotentialSpec(psi="soft_core", hard_core_diameter=0.3).hard_core_sigma == 0.3
+
+
 class TestPotentialGradients:
     @pytest.mark.parametrize(
         "pot",

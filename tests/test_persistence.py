@@ -164,6 +164,17 @@ class TestRunConfig:
         cfg = parse_config(EXAMPLE_CONFIG)
         assert build_sim_params(cfg, seed=99).seed == 99
 
+    def test_sim_defaults_without_section(self):
+        params = build_sim_params(parse_config("[domain]\ndimension = 1\n"))
+        assert (params.dt, params.t_end, params.seed, params.stride) == (1e-3, 1.0, 0, 1)
+        assert params.cell_size is None and params.max_retries == 20
+
+    @pytest.mark.parametrize("line", [
+        "phi = table", "psi_range = 0", "psi_range = -1", "hard_core_diameter = -0.5",
+    ])
+    def test_bad_potentials_rejected(self, line):
+        with pytest.raises(ConfigError):
+            build_potentials(parse_config(f"[potentials]\npsi = soft_core\n{line}\n"))
     def test_missing_section(self):
         with pytest.raises(ConfigError):
             build_domain(parse_config("[sim]\ndt = 1\n"))
