@@ -190,6 +190,12 @@ class CylinderFunction:
     def grads(self, x, pts) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
+    @property
+    def background_exchangeable(self) -> bool:
+        """True when value(x, pts) keeps its bits under any reordering of
+        the background rows, so `forms.symmetrize` may fix their order."""
+        return False
+
     def __add__(self, other):
         return CylSum(self, other)
 
@@ -212,6 +218,10 @@ class Constant(CylinderFunction):
     def value(self, x, pts):
         return self.c
 
+    @property
+    def background_exchangeable(self) -> bool:
+        return True
+
     def grads(self, x, pts):
         return _no_tagged(x, self.d), np.zeros_like(pts)
 
@@ -230,6 +240,10 @@ class LinearStatistic(CylinderFunction):
 
     def grads(self, x, pts):
         return _no_tagged(x, self.d), self.phi.gradients(pts)
+
+    @property
+    def background_exchangeable(self) -> bool:
+        return True  # rows are evaluated independently; fsum is exact in any order
 
 
 class PairStatistic(CylinderFunction):
@@ -250,6 +264,10 @@ class PairStatistic(CylinderFunction):
     def value(self, x, pts):
         pts, i, j = self._pairs(pts)
         return 0.5 * math.fsum(self.phi.values(pts[i] - pts[j]).tolist())
+
+    @property
+    def background_exchangeable(self) -> bool:
+        return True  # a reordering permutes the pair rows; fsum is exact in any order
 
     def grads(self, x, pts):
         pts, i, j = self._pairs(pts)
@@ -278,6 +296,10 @@ class TaggedFunction(CylinderFunction):
     def value(self, x, pts):
         return self.psi.value(np.asarray(x, dtype=float).reshape(self.k * self.d))
 
+    @property
+    def background_exchangeable(self) -> bool:
+        return True
+
     def grads(self, x, pts):
         flat = np.asarray(x, dtype=float).reshape(self.k * self.d)
         return (self.psi.gradient(flat).reshape(self.k, self.d),
@@ -293,6 +315,10 @@ class CylSum(CylinderFunction):
     def value(self, x, pts):
         return self.a.value(x, pts) + self.b.value(x, pts)
 
+    @property
+    def background_exchangeable(self) -> bool:
+        return self.a.background_exchangeable and self.b.background_exchangeable
+
     def grads(self, x, pts):
         (ta, pa), (tb, pb) = self.a.grads(x, pts), self.b.grads(x, pts)
         return ta + tb, pa + pb
@@ -305,6 +331,10 @@ class CylScale(CylinderFunction):
 
     def value(self, x, pts):
         return self.c * self.a.value(x, pts)
+
+    @property
+    def background_exchangeable(self) -> bool:
+        return self.a.background_exchangeable
 
     def grads(self, x, pts):
         tagged, background = self.a.grads(x, pts)
@@ -319,6 +349,10 @@ class CylProduct(CylinderFunction):
 
     def value(self, x, pts):
         return self.a.value(x, pts) * self.b.value(x, pts)
+
+    @property
+    def background_exchangeable(self) -> bool:
+        return self.a.background_exchangeable and self.b.background_exchangeable
 
     def grads(self, x, pts):
         va, vb = self.a.value(x, pts), self.b.value(x, pts)
@@ -338,6 +372,10 @@ class CylCompose(CylinderFunction):
     def value(self, x, pts):
         return float(self.outer(self.inner.value(x, pts)))
 
+    @property
+    def background_exchangeable(self) -> bool:
+        return self.inner.background_exchangeable
+
     def grads(self, x, pts):
         slope = self.outer_prime(self.inner.value(x, pts))
         tagged, background = self.inner.grads(x, pts)
@@ -345,7 +383,8 @@ class CylCompose(CylinderFunction):
 
 
 class Evaluator(CylinderFunction):
-    """Black-box cylinder function from a bare evaluator (no analytic route)."""
+    """Black-box cylinder function from a bare evaluator (no analytic route;
+    may depend on the order of the background rows)."""
 
     def __init__(self, fn: Callable, k: int, d: int):
         self.fn = fn

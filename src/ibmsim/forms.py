@@ -5,7 +5,13 @@ unlabeled form, its k-labeled extension, the translation generator D and the
 tagged-frame forms), plus checks of the frame-change identity under iota, the
 tensor-product formulas, and permutation symmetrization with its energy
 contraction. Gradients are central finite differences; analytic gradients of
-the cylinder library serve as the independent oracle in tests."""
+the cylinder library serve as the independent oracle in tests. A form of f
+with itself computes f's gradients once.
+
+Symmetrization over m <= EXACT_CAP points averages over all m! assignments
+of the points to the k tagged slots and the background; for a
+background-exchangeable function it evaluates only the m!/(m-k)! ordered
+tagged tuples and counts each value (m-k)! times, which gives the same bits."""
 
 from __future__ import annotations
 
@@ -80,10 +86,13 @@ def fd_grads(f: CylinderFunction, x, pts, h: float = DEFAULT_STEP):
 
 def _grads_of(f: CylinderFunction, g: CylinderFunction, x, pts, h: float,
               analytic: bool):
-    """(tagged, background) gradients of f and of g, by one route."""
-    if analytic:
-        return f.grads(x, pts), g.grads(x, pts)
-    return fd_grads(f, x, pts, h), fd_grads(g, x, pts, h)
+    """(tagged, background) gradients of f and of g, by one route; computed
+    once when g is f."""
+    def grads(fn):
+        return fn.grads(x, pts) if analytic else fd_grads(fn, x, pts, h)
+
+    of_f = grads(f)
+    return of_f, (of_f if g is f else grads(g))
 
 
 def _unlabeled(*fns: CylinderFunction) -> None:
@@ -136,9 +145,9 @@ def gamma_Y(f: CylinderFunction, g: CylinderFunction, config,
             h: float = DEFAULT_STEP) -> float:
     """Environment form: 1/2 (Df, Dg) plus the unlabeled form."""
     _unlabeled(f, g)
-    return 0.5 * float(
-        D_operator(f, config, h=h) @ D_operator(g, config, h=h)
-    ) + gamma_unlabeled(f, g, config, h)
+    df = D_operator(f, config, h=h)
+    dg = df if g is f else D_operator(g, config, h=h)
+    return 0.5 * float(df @ dg) + gamma_unlabeled(f, g, config, h)
 
 
 def gamma_XY(f: CylinderFunction, g: CylinderFunction, x, config,
@@ -146,10 +155,10 @@ def gamma_XY(f: CylinderFunction, g: CylinderFunction, x, config,
     """Coupled tagged-and-environment form for 1-labeled functions."""
     pts = _points_of(config)
     tag = _tag_of(x, pts.shape[1])
-    (tf, pf), (tg, pg) = fd_grads(f, tag, pts, h), fd_grads(g, tag, pts, h)
+    (tf, pf), (tg, pg) = _grads_of(f, g, tag, pts, h, analytic=False)
     # D minus the gradient in the tagged point
     vf = D_operator(f, pts, tag, h) - tf[0]
-    vg = D_operator(g, pts, tag, h) - tg[0]
+    vg = vf if g is f else D_operator(g, pts, tag, h) - tg[0]
     return 0.5 * float(vf @ vg) + 0.5 * float(np.sum(pf * pg))
 
 
@@ -164,6 +173,10 @@ class _IotaComposed(CylinderFunction):
     def value(self, x, pts):
         x = np.atleast_2d(x)
         return self.f.value(x, np.atleast_2d(pts) - x[0])
+
+    @property
+    def background_exchangeable(self) -> bool:
+        return self.f.background_exchangeable
 
     def grads(self, x, pts):
         x = np.atleast_2d(x)
@@ -269,7 +282,7 @@ def _assignments(x, config, perms):
     k = tag.shape[0]
     all_pts = np.concatenate([tag, pts], axis=0)
     for perm in perms:
-        sel = np.asarray(perm)
+        sel = np.asarray(perm, dtype=np.intp)  # the one assignment of m = 0 is ()
         q = all_pts[sel]
         yield sel, q[:k], q[k:]
 
@@ -280,18 +293,35 @@ def _exact_perms(m: int, what: str):
     return itertools.permutations(range(m))
 
 
+def _tuple_perms(m: int, k: int):
+    """For each ordered k-tuple of range(m), lexicographically, the
+    permutation that puts it first and the rest after it in index order."""
+    for tup in itertools.permutations(range(m), k):
+        yield tup + tuple(i for i in range(m) if i not in tup)
+
+
 def symmetrize(h_fn: CylinderFunction, x, config) -> float:
     """Average of h over all m! assignments of the m = k + |s| points to the
-    tagged slots and the background, for m <= EXACT_CAP."""
+    tagged slots and the background, for m <= EXACT_CAP.
+
+    A background-exchangeable h is evaluated on the m!/(m-k)! ordered tagged
+    tuples only, each value fed to the exact fsum (m-k)! times: the multiset
+    summed, and so the result, is bitwise that of all m! assignments."""
     pts = _points_of(config)
     tag = _tag_of(x, pts.shape[1])
-    perms = _exact_perms(tag.shape[0] + pts.shape[0], "exact symmetrization")
+    k = tag.shape[0]
+    m = k + pts.shape[0]
+    perms, repeats = _exact_perms(m, "exact symmetrization"), 1
+    if h_fn.background_exchangeable:
+        perms, repeats = _tuple_perms(m, k), math.factorial(m - k)
     vals = [h_fn.value(t, b) for _, t, b in _assignments(tag, pts, perms)]
     first = vals[0]
     if all(v == first for v in vals):
         # already symmetric: averaging identical values must return them bitwise
         return first
-    return math.fsum(vals) / len(vals)
+    # repeat rather than multiply: v * (m-k)! would round
+    return math.fsum(itertools.chain.from_iterable(
+        itertools.repeat(v, repeats) for v in vals)) / math.factorial(m)
 
 
 class _Symmetrized(CylinderFunction):
@@ -301,6 +331,10 @@ class _Symmetrized(CylinderFunction):
 
     def value(self, x, pts):
         return symmetrize(self.h_fn, x, pts)
+
+    @property
+    def background_exchangeable(self) -> bool:
+        return True  # fsums the same multiset whatever the input order
 
     def grads(self, x, pts):
         pts = _points_of(pts)

@@ -192,9 +192,15 @@ class PipelineResult:
 
 
 def _count(sec, key: str, least: int = 1) -> int:
-    n = sec.getint(key)
-    if n < least:
-        raise ConfigError(f"{key} must be at least {least}, got {n}")
+    """The integer sec[key], at least `least`; a missing, empty or
+    non-integer value is a ConfigError."""
+    try:
+        n = sec.getint(key)
+    except ValueError:
+        n = None
+    if n is None or n < least:
+        raise ConfigError(f"{key} must be an integer of at least {least}, "
+                          f"got {sec.get(key)!r}")
     return n
 
 
@@ -461,7 +467,7 @@ def _run_forms(cfg, seed: int) -> list[PipelineRow]:
     n_samples = _count(sec, "mc_samples", least=2)
     n_oracle = _count(sec, "oracle_samples")
     n_contraction = _count(sec, "contraction_instances")
-    cap = sec.getint("idempotence_max_points")
+    cap = _count(sec, "idempotence_max_points")
     if cap > EXACT_CAP:
         raise ConfigError(f"idempotence_max_points must be at most {EXACT_CAP}, got {cap}")
     rng = np.random.default_rng(seed)

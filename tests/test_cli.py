@@ -228,6 +228,20 @@ class TestPipelineCommand:
         assert main(["pipeline", "--name", name, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("[pipeline]\nname = forms-suite\nseed = 99\n", id="name-and-seed-only"),
+        pytest.param(SMALL_FORMS.replace("iota_pairs = 10", "iota_pairs ="), id="empty"),
+        pytest.param(SMALL_FORMS.replace("mc_samples = 200", "mc_samples = 2.5"),
+                     id="non-integer"),
+        pytest.param(SMALL_FORMS.replace("idempotence_max_points = 6\n", ""),
+                     id="missing-cap"),
+    ])
+    def test_missing_or_non_integer_count_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(text)
+        assert main(["pipeline", "--name", "forms-suite", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(SystemExit):
             main(["pipeline", "--name", "nope"])

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -340,6 +342,99 @@ class TestSymmetrize:
             raw = exchange_energy(h, x, config)
             sym = exchange_energy(symmetrized(h), x, config)
             assert sym <= raw + 1e-9 * (1.0 + abs(raw))
+
+
+def full_symmetrize(h_fn, x, pts):
+    """Reference route: h evaluated on every one of the m! assignments."""
+    pts = np.atleast_2d(pts)
+    x = np.asarray(x, dtype=float).reshape(-1, pts.shape[1])
+    k = x.shape[0]
+    stacked = np.concatenate([x, pts])
+    vals = []
+    for perm in itertools.permutations(range(stacked.shape[0])):
+        q = stacked[list(perm)]
+        vals.append(h_fn.value(q[:k], q[k:]))
+    if all(v == vals[0] for v in vals):
+        return vals[0]
+    return math.fsum(vals) / len(vals)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestSymmetrizeRoutes:
+    """The ordered-tagged-tuple route against the full m! enumeration."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_random_cylinders_bitwise(self, k, d):
+        rng = np.random.default_rng(700 + 10 * k + d)
+        for m in range(max(k, 1), 8):
+            h = random_cylinder(rng, k, d)
+            assert h.background_exchangeable
+            x = rng.uniform(-1, 1, size=(k, d))
+            pts = rng.uniform(-1.5, 1.5, size=(m - k, d))
+            assert same_bits(symmetrize(h, x, pts), full_symmetrize(h, x, pts))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_library_functions_bitwise(self, d):
+        rng = np.random.default_rng(720 + d)
+        for m in range(1, 6):
+            pts = rng.uniform(-1.5, 1.5, size=(m - 1, d))
+            x = rng.uniform(-1, 1, size=(1, d))
+            for h, tag in (
+                (PairStatistic(random_smooth(rng, d)), np.zeros((0, d))),
+                (PairStatistic(random_smooth(rng, d)) + random_cylinder(rng, 1, d), x),
+                (Constant(0.7, d, k=1), x),
+                (compose_iota(random_cylinder(rng, 0, d)), x),
+                (compose_iota(random_cylinder(rng, 1, d)), x),
+                (symmetrized(random_cylinder(rng, 1, d)), x),
+            ):
+                assert h.background_exchangeable
+                assert same_bits(symmetrize(h, tag, pts), full_symmetrize(h, tag, pts))
+
+    def test_order_dependent_function_keeps_every_assignment(self):
+        x, pts = [[0.3]], np.array([[1.0], [1.8], [-0.7]])
+
+        def first_background(x, pts):
+            return float(pts[0, 0])
+
+        h = Evaluator(first_background, k=1, d=1)
+        for fn in (h, h + LinearStatistic(Gaussian(1.0, [0.2], 0.9))):
+            assert not fn.background_exchangeable
+            assert same_bits(symmetrize(fn, x, pts), full_symmetrize(fn, x, pts))
+
+        class ClaimsExchangeable(Evaluator):
+            background_exchangeable = True
+
+        # the short route on this function averages another multiset
+        wrong = ClaimsExchangeable(first_background, k=1, d=1)
+        assert symmetrize(wrong, x, pts) != full_symmetrize(wrong, x, pts)
+
+
+class TestFormOfFWithItself:
+    """f with itself takes one gradient pass; a deep copy of f takes two."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_two_pass_route_bitwise(self, d):
+        rng = np.random.default_rng(740 + d)
+        for _ in range(4):
+            pts = rng.uniform(-1.5, 1.5, size=(3, d))
+            x = rng.uniform(-1, 1, size=(1, d))
+            f0 = random_cylinder(rng, 0, d)
+            for f1 in (random_cylinder(rng, 1, d),
+                       tensor_product(random_smooth(rng, d), f0)):
+                twin = copy.deepcopy(f1)
+                for analytic in (False, True):
+                    assert same_bits(gamma_k(f1, f1, x, pts, analytic=analytic),
+                                     gamma_k(f1, twin, x, pts, analytic=analytic))
+                assert same_bits(gamma_XY(f1, f1, x, pts), gamma_XY(f1, twin, x, pts))
+            twin = copy.deepcopy(f0)
+            for analytic in (False, True):
+                assert same_bits(gamma_unlabeled(f0, f0, pts, analytic=analytic),
+                                 gamma_unlabeled(f0, twin, pts, analytic=analytic))
+            assert same_bits(gamma_Y(f0, f0, pts), gamma_Y(f0, twin, pts))
 
 
 def form_values(rng, d):
