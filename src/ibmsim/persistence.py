@@ -339,6 +339,12 @@ def build_sampler(cfg, domain: Domain, seed: int):
             n_matrix=sec.getint("n_matrix", 500),
             window_radius=sec.getfloat("window_radius", 10.0),
         )
+        dim = 1 if kind == "dyson_sine" else 2
+        if domain != Domain(dim, BALL, spec.window_radius):
+            raise ConfigError(
+                f"sampler kind {kind} draws points in its window, so [domain] must be "
+                f"dimension = {dim}, geometry = ball, size = {spec.window_radius} "
+                f"(the window_radius)")
         draw = pp.sample_dyson_sine if kind == "dyson_sine" else pp.sample_ginibre
 
         def sampler(i: int) -> Configuration:

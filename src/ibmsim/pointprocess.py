@@ -1,6 +1,14 @@
 """Samplers for equilibrium point fields: Poisson reference, grand-canonical
 Gibbs via birth/death/move Metropolis-Hastings, random-matrix determinantal
-fields (sine-kernel / Ginibre), and Palm conditioning by rejection."""
+fields, and Palm conditioning by rejection.
+
+The determinantal fields are the eigenvalues of an n_matrix x n_matrix random
+matrix restricted to a centered window: GUE for the sine-kernel field and
+complex Ginibre for the Ginibre field. n_matrix is the size of that finite-n
+law; neither sampler forms the matrix. The sine field solves the
+Dumitriu-Edelman tridiagonal model for the eigenvalues in the window only,
+and the Ginibre field runs the Hough-Krishnapur-Peres-Virag projection
+sampler on the kernel's restriction to the disk."""
 
 from __future__ import annotations
 
@@ -9,6 +17,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.special import gammainc, gammaincinv, gammaln, xlogy
 
 from .configuration import BALL, TORUS, Configuration, Domain, KLabeledState
 from .errors import AcceptanceTooLow, ConfigError, NonConvergenceWarning, WindowTooLarge
@@ -226,32 +236,47 @@ def move_acceptance_probability(spec: GibbsSpec, domain: Domain,
     return min(1.0, math.exp(-spec.beta * delta))
 
 
-def _gue_eigenvalues(n: int, rng) -> np.ndarray:
-    real = rng.standard_normal((n, n))
-    imag = rng.standard_normal((n, n))
-    h = (real + 1j * imag) / math.sqrt(2.0)
-    h = (h + h.conj().T) / math.sqrt(2.0)  # E|H_ij|^2 = 1 off-diagonal
-    return np.linalg.eigvalsh(h)
-
-
 def sine_bulk_radius(n_matrix: int) -> float:
     """Half-width of the rescaled (unit-intensity) GUE spectrum."""
     return 2.0 * n_matrix / math.pi
 
 
+def _window_eigenvalues(diag: np.ndarray, off: np.ndarray, scale: float,
+                        radius: float) -> np.ndarray:
+    """Eigenvalues x of the symmetric tridiagonal (diag, off), scaled by
+    `scale`, with |x| < radius, computed by bisection over the window only.
+
+    Bisection places each eigenvalue to within about eps * |T|; the selection
+    is widened well past that so the strict test, not the solver's rounding
+    of the edge, decides which eigenvalues are in the window.
+    """
+    edge = radius / scale
+    edge += 1e-9 * (edge + math.sqrt(diag.size))
+    eigs = eigvalsh_tridiagonal(diag, off, select="v", select_range=(-edge, edge)) * scale
+    return eigs[np.abs(eigs) < radius]
+
+
 def sample_dyson_sine(spec: DPPSpec, seed: int) -> Configuration:
     """Unit-intensity sine-kernel statistics in a centered window (d = 1).
 
-    GUE eigenvalues rescaled by sqrt(N)/pi so the bulk density at 0 is one,
-    restricted to |x| < window_radius.
+    The eigenvalues of an n_matrix x n_matrix GUE matrix (diagonal N(0, 1),
+    E|H_ij|^2 = 1 off the diagonal), rescaled by sqrt(n_matrix)/pi so the
+    bulk density at 0 is one, restricted to |x| < window_radius. They are
+    drawn as the eigenvalues of the Dumitriu-Edelman tridiagonal beta = 2
+    model, which has the same law: diagonal N(0, 1), off-diagonal
+    sqrt(chi^2_{2k} / 2) for k = n_matrix - 1, ..., 1. Only the eigenvalues
+    inside the window are computed.
     """
     if spec.kernel != "sine":
         raise ConfigError("sample_dyson_sine needs kernel='sine'")
     if spec.window_radius > 0.5 * sine_bulk_radius(spec.n_matrix):
         raise WindowTooLarge("window exits the GUE bulk; shrink it or grow n_matrix")
     rng = np.random.default_rng(seed)
-    eigs = _gue_eigenvalues(spec.n_matrix, rng) * (math.sqrt(spec.n_matrix) / math.pi)
-    inside = eigs[np.abs(eigs) < spec.window_radius]
+    n = spec.n_matrix
+    diag = rng.standard_normal(n)
+    # chi^2_{2k} / 2 is Gamma(k, 1)
+    off = np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1.0)))
+    inside = _window_eigenvalues(diag, off, math.sqrt(n) / math.pi, spec.window_radius)
     domain = Domain(1, BALL, spec.window_radius)
     return Configuration(inside[:, None], domain, validate=False)
 
@@ -261,19 +286,54 @@ def ginibre_bulk_radius(n_matrix: int) -> float:
 
 
 def sample_ginibre(spec: DPPSpec, seed: int) -> Configuration:
-    """Ginibre field of intensity 1/pi in a centered disk window (d = 2)."""
+    """Ginibre field of intensity 1/pi in a centered disk window (d = 2).
+
+    The eigenvalues of an n_matrix x n_matrix complex Ginibre matrix
+    (E|G_ij|^2 = 1) inside |z| < R = window_radius. They form the
+    determinantal process with kernel
+    K(z, w) = pi^-1 e^{-(|z|^2 + |w|^2)/2} sum_{k < n_matrix} (z conj(w))^k / k!,
+    whose restriction to the disk has the orthogonal eigenfunctions
+    z^k e^{-|z|^2/2} with eigenvalues p_k = P(Gamma(k + 1) < R^2). It is
+    sampled exactly (Hough-Krishnapur-Peres-Virag): keep each k with
+    probability p_k, then place one point per kept k from the projection
+    kernel of the kept functions, each by rejection from the mixture of
+    their radial densities.
+    """
     if spec.kernel != "ginibre":
         raise ConfigError("sample_ginibre needs kernel='ginibre'")
     if spec.window_radius > 0.5 * ginibre_bulk_radius(spec.n_matrix):
         raise WindowTooLarge("window exits the circular-law bulk")
     rng = np.random.default_rng(seed)
-    n = spec.n_matrix
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    eigs = np.linalg.eigvals(g)
-    pts = np.column_stack([eigs.real, eigs.imag])
-    inside = pts[np.sum(pts * pts, axis=1) < spec.window_radius**2]
+    r2_max = spec.window_radius**2
+    mass = gammainc(np.arange(1.0, spec.n_matrix + 1.0), r2_max)
+    kept = np.flatnonzero(rng.uniform(size=spec.n_matrix) < mass)
+    m = kept.size
+    # log of sqrt(pi k! p_k), the disk norm of z^k e^{-|z|^2/2}
+    log_norm = 0.5 * (math.log(math.pi) + gammaln(kept + 1.0) + np.log(mass[kept]))
+    basis = np.empty((m, m), dtype=complex)  # orthonormal rows, one per placed point
+    points = np.empty((m, 2))
+    for i in range(m):
+        placed = basis[:i]
+        while True:
+            k = kept[rng.integers(m)]
+            r2 = gammaincinv(k + 1.0, rng.uniform() * mass[k])
+            theta = 2.0 * math.pi * rng.uniform()
+            radius = math.sqrt(r2)
+            x, y = radius * math.cos(theta), radius * math.sin(theta)
+            if r2 >= r2_max or x * x + y * y >= r2_max:
+                continue  # rounded onto the edge of the open disk: redraw
+            # the kept orthonormal functions at z = sqrt(r2) e^{i theta}
+            row = np.exp(0.5 * xlogy(kept, r2) - 0.5 * r2 - log_norm + 1j * theta * kept)
+            # Gram-Schmidt against the placed rows, twice to keep them orthonormal
+            resid = row - (placed.conj() @ row) @ placed
+            resid -= (placed.conj() @ resid) @ placed
+            resid_sq = np.vdot(resid, resid).real
+            if rng.uniform() * np.vdot(row, row).real < resid_sq:
+                break
+        basis[i] = resid / math.sqrt(resid_sq)
+        points[i] = x, y
     domain = Domain(2, BALL, spec.window_radius)
-    return Configuration(inside, domain, validate=False)
+    return Configuration(points, domain, validate=False)
 
 
 def palm_condition(sampler, x, delta: float, seed: int,

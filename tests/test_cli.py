@@ -109,6 +109,27 @@ class TestSampleAndSimulate:
         assert "config_sha256" in traj.provenance
 
 
+    def test_dpp_sampler_outside_its_window_exits_with_error(self, tmp_path, capsys):
+        path = tmp_path / "ginibre.cfg"
+        path.write_text(BASE_CONFIG.replace(
+            "kind = poisson\nintensity = 1.0", "kind = ginibre\nwindow_radius = 3"))
+        out = tmp_path / "sample.cfgpts"
+        assert main(["sample", "--config", str(path), "--seed", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: sampler kind ginibre")
+        assert not out.exists()
+
+    def test_dpp_sampler_in_its_window_samples(self, tmp_path):
+        path = tmp_path / "ginibre.cfg"
+        path.write_text(BASE_CONFIG.replace(
+            "dimension = 1\ngeometry = torus\nsize = 8.0",
+            "dimension = 2\ngeometry = ball\nsize = 3.0").replace(
+            "kind = poisson\nintensity = 1.0", "kind = ginibre\nwindow_radius = 3"))
+        out = str(tmp_path / "sample.cfgpts")
+        assert main(["sample", "--config", str(path), "--seed", "3", "--out", out]) == 0
+        config = read_configuration(out)
+        assert config.domain.dimension == 2 and config.domain.geometry == "ball"
+        assert np.all(np.sum(config.points**2, axis=1) < 9.0)
+
     def test_bad_potentials_exit_with_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_CONFIG.replace("psi_range = 0.7", "psi_range = 0"))

@@ -184,6 +184,26 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             build_sampler(cfg, build_domain(cfg), 0)
 
+    @pytest.mark.parametrize("kind, dimension, geometry, size", [
+        ("ginibre", 1, "torus", 8), ("ginibre", 2, "torus", 3), ("ginibre", 2, "ball", 4),
+        ("ginibre", 1, "ball", 3), ("dyson_sine", 2, "ball", 3), ("dyson_sine", 1, "free", 3),
+    ])
+    def test_dpp_kind_needs_its_window_as_domain(self, kind, dimension, geometry, size):
+        cfg = parse_config(f"[domain]\ndimension = {dimension}\ngeometry = {geometry}\n"
+                           f"size = {size}\n[sampler]\nkind = {kind}\n"
+                           "n_matrix = 100\nwindow_radius = 3\n")
+        with pytest.raises(ConfigError, match="geometry = ball"):
+            build_sampler(cfg, build_domain(cfg), 0)
+
+    @pytest.mark.parametrize("kind, dimension", [("dyson_sine", 1), ("ginibre", 2)])
+    def test_dpp_kind_samples_in_its_window(self, kind, dimension):
+        cfg = parse_config(f"[domain]\ndimension = {dimension}\ngeometry = ball\nsize = 3\n"
+                           f"[sampler]\nkind = {kind}\nn_matrix = 100\nwindow_radius = 3\n")
+        dom = build_domain(cfg)
+        config = build_sampler(cfg, dom, 5)(0)
+        assert config.domain == dom and len(config) > 0
+        assert dom.contains(config.points)
+
 
 class TestManifest:
     def test_same_config_same_hash(self):

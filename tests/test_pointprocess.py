@@ -5,11 +5,15 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.spatial.distance import pdist
+from scipy.special import gammainc
 
 from ibmsim.configuration import Domain
 from ibmsim.errors import AcceptanceTooLow, ConfigError, NonConvergenceWarning, WindowTooLarge
 from ibmsim.pointprocess import (
     DPPSpec,
+    _window_eigenvalues,
     GibbsChain,
     GibbsSpec,
     make_poisson_sampler,
@@ -209,6 +213,123 @@ class TestGinibre:
     def test_window_guard(self):
         with pytest.raises(WindowTooLarge):
             sample_ginibre(DPPSpec("ginibre", n_matrix=16, window_radius=3.0), 0)
+
+    @pytest.mark.parametrize("n, radius", [(16, 2.0), (100, 4.0), (500, 5.0)])
+    def test_one_point_per_kept_function_inside_the_open_disk(self, n, radius):
+        spec = DPPSpec("ginibre", n_matrix=n, window_radius=radius)
+        mass = gammainc(np.arange(1.0, n + 1.0), radius**2)
+        for seed in range(20):
+            pts = sample_ginibre(spec, seed).points
+            # the sampler's first draws decide which z^k are kept
+            kept = np.random.default_rng(seed).uniform(size=n) < mass
+            assert len(pts) == np.count_nonzero(kept)
+            assert np.all(np.sum(pts * pts, axis=1) < radius**2)
+            assert np.array_equal(pts, sample_ginibre(spec, seed).points)
+
+    def test_mean_count_is_the_sum_of_the_kernel_eigenvalues(self):
+        n, radius = 100, 4.0
+        spec = DPPSpec("ginibre", n_matrix=n, window_radius=radius)
+        mass = gammainc(np.arange(1.0, n + 1.0), radius**2)
+        counts = [len(sample_ginibre(spec, 9000 + s)) for s in range(400)]
+        # the count is a sum of independent Bernoulli(p_k)
+        se = math.sqrt(np.sum(mass * (1.0 - mass)) / len(counts))
+        assert abs(np.mean(counts) - mass.sum()) < 4 * se
+
+
+def _sine_tridiagonal(n, seed):
+    """The (diagonal, off-diagonal) pair that sample_dyson_sine draws."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n), np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1.0)))
+
+
+def _assert_matches_full_spectrum(got, diag, off, scale, radius):
+    """`got` holds the eigenvalues that the full solve of (diag, off) puts in
+    the window, to within a few ulps of the spectrum's width (bisection's
+    accuracy)."""
+    full = eigvalsh_tridiagonal(diag, off) * scale
+    ref = full[np.abs(full) < radius]
+    assert len(got) == len(ref)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(full).max())
+
+
+class TestWindowEigensolve:
+    @pytest.mark.parametrize("n", [20, 200, 500])
+    @pytest.mark.parametrize("radius", [0.3, 2.5, 6.0])
+    def test_matches_the_full_spectrum(self, n, radius):
+        spec = DPPSpec("sine", n_matrix=n, window_radius=radius)
+        scale = math.sqrt(n) / math.pi
+        for seed in range(10):
+            diag, off = _sine_tridiagonal(n, seed)
+            got = _window_eigenvalues(diag, off, scale, radius)
+            assert np.array_equal(sample_dyson_sine(spec, seed).points[:, 0], got)
+            _assert_matches_full_spectrum(got, diag, off, scale, radius)
+
+    @pytest.mark.parametrize("n", [50, 200, 500])
+    def test_edge_one_ulp_from_an_eigenvalue(self, n):
+        # zero off-diagonals around j split off the exact eigenvalue diag[j];
+        # pick a negative one whose window edge w / scale rounds onto it, which
+        # the solver's half-open range (-w / scale, w / scale] would drop
+        scale = math.sqrt(n) / math.pi
+        for seed in range(100):
+            diag, off = _sine_tridiagonal(n, seed)
+            edge = np.nextafter(-diag * scale, math.inf) / scale
+            found = np.flatnonzero((diag[1:-1] < 0) & (edge[1:-1] == -diag[1:-1]))
+            if found.size:
+                break
+        j = found[0] + 1
+        off[j - 1] = off[j] = 0.0
+        x = -diag[j] * scale
+        for radius, keeps in ((float(np.nextafter(x, math.inf)), True), (x, False)):
+            got = _window_eigenvalues(diag, off, scale, radius)
+            assert (diag[j] * scale in got) == keeps
+            _assert_matches_full_spectrum(got, diag, off, scale, radius)
+
+
+def dense_gue_window(spec, seed):
+    """The dense route the sine sampler replaced: all eigenvalues of an
+    n x n GUE matrix, rescaled, then the window kept."""
+    rng = np.random.default_rng(seed)
+    n = spec.n_matrix
+    h = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    h = (h + h.conj().T) / math.sqrt(2.0)  # E|H_ij|^2 = 1 off-diagonal
+    eigs = np.linalg.eigvalsh(h) * (math.sqrt(n) / math.pi)
+    return eigs[np.abs(eigs) < spec.window_radius][:, None]
+
+
+def dense_ginibre_window(spec, seed):
+    """The dense route the Ginibre sampler replaced: all eigenvalues of an
+    n x n complex Ginibre matrix, then the disk kept."""
+    rng = np.random.default_rng(seed)
+    n = spec.n_matrix
+    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    eigs = np.linalg.eigvals(g)
+    pts = np.column_stack([eigs.real, eigs.imag])
+    return pts[np.sum(pts * pts, axis=1) < spec.window_radius**2]
+
+
+def _window_statistics(points_list, edges):
+    """Per sample: the point count, then the pair count in each separation bin."""
+    return np.array([[len(p), *np.histogram(pdist(p), bins=edges)[0]] for p in points_list])
+
+
+class TestAgainstDenseMatrices:
+    """Same finite-n law as the dense eigensolves: the per-sample point count
+    and the pair count in each separation bin agree in a two-sample z-test."""
+
+    @pytest.mark.parametrize("kernel, n, radius, sampler, dense", [
+        ("sine", 100, 6.0, sample_dyson_sine, dense_gue_window),
+        ("ginibre", 64, 4.0, sample_ginibre, dense_ginibre_window),
+    ], ids=["sine", "ginibre"])
+    def test_counts_and_pair_counts_agree(self, kernel, n, radius, sampler, dense):
+        spec = DPPSpec(kernel, n_matrix=n, window_radius=radius)
+        seeds = range(5000, 5400)
+        edges = np.arange(0.0, 4.01, 0.5)
+        new = _window_statistics([sampler(spec, s).points for s in seeds], edges)
+        ref = _window_statistics([dense(spec, s) for s in seeds], edges)
+        se = np.sqrt(new.var(axis=0, ddof=1) / len(new) + ref.var(axis=0, ddof=1) / len(ref))
+        assert np.all(se > 0)
+        z = (new.mean(axis=0) - ref.mean(axis=0)) / se
+        assert np.all(np.abs(z) < 4), z
 
 
 class TestSamplerDeterminism:
