@@ -159,9 +159,6 @@ class Trajectory:
     def n_particles(self) -> int:
         return self.positions.shape[1]
 
-    def state(self, i: int) -> LabeledState:
-        return LabeledState(self.positions[i], self.domain, validate=False)
-
     def configuration(self, i: int) -> Configuration:
         return Configuration(self.positions[i], self.domain, validate=False)
 

@@ -28,6 +28,8 @@ from .errors import KMismatch, TooManyPoints
 
 DEFAULT_STEP = 1e-5
 EXACT_CAP = 8  # most points whose m! assignments are enumerated
+QUADRATURE_POINTS_1D = 2001  # trapezoid nodes on [-radius, radius] in quadrature_norms
+QUADRATURE_POINTS_2D = 301  # the same per axis of the d = 2 tensor grid
 
 
 @dataclass
@@ -201,11 +203,12 @@ def check_iota_identity(f: CylinderFunction, g: CylinderFunction, x, config,
                       {"lhs": lhs, "rhs": rhs})
 
 
-def quadrature_norms(phi: SmoothMap, radius: float, n: int = 2001):
+def quadrature_norms(phi: SmoothMap, radius: float):
     """(||phi||_{L2}^2, ||grad phi||_{L2}^2) on [-radius, radius]^d by tensor
     trapezoid quadrature; d <= 2."""
     d = phi.d
-    axis = np.linspace(-radius, radius, n if d == 1 else 301)
+    n = QUADRATURE_POINTS_1D if d == 1 else QUADRATURE_POINTS_2D
+    axis = np.linspace(-radius, radius, n)
     if d == 1:
         vals = phi.values(axis[:, None])
         grads = phi.gradients(axis[:, None])[:, 0]

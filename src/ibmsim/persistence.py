@@ -7,10 +7,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -85,7 +84,6 @@ def write_trajectory(traj: Trajectory, path, coord_format: str = "decimal",
     if coord_format not in ("decimal", "hex"):
         raise ConfigError("coord_format must be 'decimal' or 'hex'")
     dom = traj.domain
-    p = traj.params
     buf = io.StringIO()
     buf.write("# ibm-sim trajectory\n")
     buf.write(f"format_version={TRAJECTORY_FORMAT_VERSION}\n")
@@ -94,11 +92,11 @@ def write_trajectory(traj: Trajectory, path, coord_format: str = "decimal",
     buf.write(f"d={dom.dimension}\ngeometry={dom.geometry}\n")
     buf.write(f"size={_encode_float(dom.size, coord_format)}\n")
     buf.write(f"n_particles={traj.n_particles}\nn_tagged={traj.n_tagged}\n")
-    buf.write(f"dt={_encode_float(p.dt, coord_format)}\n")
-    buf.write(f"t_end={_encode_float(p.t_end, coord_format)}\n")
-    buf.write(f"seed={p.seed}\nstride={p.stride}\n")
-    buf.write(f"cell_size={'' if p.cell_size is None else _encode_float(p.cell_size, coord_format)}\n")
-    buf.write(f"hard_core_mode={p.hard_core_mode}\nmax_retries={p.max_retries}\n")
+    for f in fields(SimParams):
+        value = getattr(traj.params, f.name)
+        if value is not None and f.type.startswith("float"):
+            value = _encode_float(value, coord_format)
+        buf.write(f"{f.name}={'' if value is None else value}\n")
     for key, value in sorted(traj.provenance.items()):
         buf.write(f"prov.{key}={value}\n")
     buf.write("\n")
@@ -153,16 +151,8 @@ def read_trajectory(path) -> Trajectory:
 
     dom = Domain(int(need("d")), need("geometry"), _decode_float(need("size"), mode, 2))
     n = int(need("n_particles"))
-    params = SimParams(
-        dt=_decode_float(need("dt"), mode, 2),
-        t_end=_decode_float(need("t_end"), mode, 2),
-        seed=int(need("seed")),
-        stride=int(need("stride")),
-        cell_size=None if header.get("cell_size", "") == ""
-        else _decode_float(header["cell_size"], mode, 2),
-        hard_core_mode=need("hard_core_mode"),
-        max_retries=int(need("max_retries")),
-    )
+    params = build_spec(SimParams, {f.name: need(f.name) for f in fields(SimParams)},
+                        "trajectory header", decode=lambda s: _decode_float(s, mode, 2))
 
     times, snaps, runmax = [], [], []
     i = body_start - 1
@@ -251,8 +241,26 @@ def trajectory_equal(a: Trajectory, b: Trajectory) -> bool:
 # run configs
 # ---------------------------------------------------------------------------
 
+def _convert(conv, text: str, where: str, key: str):
+    """conv(text), with a ValueError turned into a ConfigError naming the key."""
+    try:
+        return conv(text)
+    except ValueError:
+        raise ConfigError(f"bad value for {where} {key}: {text!r}") from None
+
+
+class _ConfigParser(configparser.ConfigParser):
+    """getint/getfloat/getboolean raise a ConfigError naming section, key and value."""
+
+    def _get_conv(self, section, option, conv, **kwargs):
+        return super()._get_conv(
+            section, option, lambda text: _convert(conv, text, f"[{section}]", option),
+            **kwargs)
+
+
 def parse_config(text: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    """Keys keep their case; `;` after whitespace starts an inline comment."""
+    parser = _ConfigParser(inline_comment_prefixes=(";",))
     parser.optionxform = str
     try:
         parser.read_string(text)
@@ -270,6 +278,24 @@ def config_sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def build_spec(cls, values, where: str, decode=float, **given):
+    """The spec dataclass `cls` from the keys of `values` that name its fields
+    annotated (as text) `str`, `int`, `float` or `float | None`, each parsed by
+    that type (floats by `decode`; an empty or zero optional float is None);
+    absent fields keep the dataclass default and `given` fields are passed as
+    they are. A value that does not parse, or that the spec rejects, is a
+    ConfigError naming `where`."""
+    parse = {"str": str, "int": int, "float": decode,
+             "float | None": lambda text: (decode(text) or None) if text else None}
+    kwargs = {f.name: _convert(parse[f.type], values[f.name], where, f.name)
+              for f in fields(cls)
+              if f.type in parse and f.name in values and f.name not in given}
+    try:
+        return cls(**kwargs, **given)
+    except ValueError as exc:
+        raise ConfigError(f"bad {where}: {exc}") from None
+
+
 def build_domain(cfg) -> Domain:
     if "domain" not in cfg:
         raise ConfigError("config needs a [domain] section")
@@ -277,40 +303,18 @@ def build_domain(cfg) -> Domain:
     try:
         return Domain(sec.getint("dimension"), sec.get("geometry", "torus"),
                       sec.getfloat("size"))
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"bad [domain]: {exc}") from None
 
 
 def build_potentials(cfg) -> PotentialSpec:
-    if "potentials" not in cfg:
-        return PotentialSpec()
-    sec = cfg["potentials"]
-    kwargs = dict(
-        phi=sec.get("phi", "none"),
-        phi_strength=sec.getfloat("phi_strength", 1.0),
-        psi=sec.get("psi", "none"),
-        psi_strength=sec.getfloat("psi_strength", 1.0),
-        psi_range=sec.getfloat("psi_range", 1.0),
-        hard_core_diameter=sec.getfloat("hard_core_diameter", 0.0),
-        r_cut=sec.getfloat("r_cut", math.inf),
-    )
-    try:
-        return PotentialSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"bad [potentials]: {exc}") from None
+    sec = cfg["potentials"] if "potentials" in cfg else {}
+    return build_spec(PotentialSpec, sec, "[potentials]")
 
 
 def build_sim_params(cfg, seed: int | None = None) -> SimParams:
-    cell = cfg.getfloat("sim", "cell_size", fallback=0.0)
-    return SimParams(
-        dt=cfg.getfloat("sim", "dt", fallback=1e-3),
-        t_end=cfg.getfloat("sim", "t_end", fallback=1.0),
-        seed=seed if seed is not None else cfg.getint("sim", "seed", fallback=0),
-        stride=cfg.getint("sim", "stride", fallback=1),
-        cell_size=None if not cell else cell,
-        hard_core_mode=cfg.get("sim", "hard_core_mode", fallback="reject"),
-        max_retries=cfg.getint("sim", "max_retries", fallback=20),
-    )
+    sec = cfg["sim"] if "sim" in cfg else {}
+    return build_spec(SimParams, sec, "[sim]", **({} if seed is None else {"seed": seed}))
 
 
 def build_sampler(cfg, domain: Domain, seed: int):
@@ -324,21 +328,11 @@ def build_sampler(cfg, domain: Domain, seed: int):
     if kind == "poisson":
         return pp.make_poisson_sampler(domain, sec.getfloat("intensity", 1.0), seed)
     if kind == "gibbs":
-        spec = pp.GibbsSpec(
-            potentials=build_potentials(cfg),
-            beta=sec.getfloat("beta", 1.0),
-            activity=sec.getfloat("activity", 1.0),
-            burn_in=sec.getint("burn_in", 100_000),
-            thin=sec.getint("thin", 50),
-            proposal_scale=sec.getfloat("proposal_scale", 0.5),
-        )
+        spec = build_spec(pp.GibbsSpec, sec, "[sampler]", potentials=build_potentials(cfg))
         return pp.make_gibbs_sampler(spec, domain, seed)
     if kind in ("dyson_sine", "ginibre"):
-        spec = pp.DPPSpec(
-            kernel="sine" if kind == "dyson_sine" else "ginibre",
-            n_matrix=sec.getint("n_matrix", 500),
-            window_radius=sec.getfloat("window_radius", 10.0),
-        )
+        spec = build_spec(pp.DPPSpec, sec, "[sampler]",
+                          kernel="sine" if kind == "dyson_sine" else "ginibre")
         dim = 1 if kind == "dyson_sine" else 2
         if domain != Domain(dim, BALL, spec.window_radius):
             raise ConfigError(

@@ -43,6 +43,7 @@ from .forms import (
 )
 from .persistence import (
     build_potentials,
+    build_spec,
     config_sha256,
     manifest,
     parse_config,
@@ -194,14 +195,20 @@ class PipelineResult:
 def _count(sec, key: str, least: int = 1) -> int:
     """The integer sec[key], at least `least`; a missing, empty or
     non-integer value is a ConfigError."""
-    try:
-        n = sec.getint(key)
-    except ValueError:
-        n = None
+    n = sec.getint(key)
     if n is None or n < least:
         raise ConfigError(f"{key} must be an integer of at least {least}, "
                           f"got {sec.get(key)!r}")
     return n
+
+
+def _real(sec, key: str, default: float | None = None) -> float:
+    """The float sec[key], or `default` when the key is absent; a missing key
+    without a default is a ConfigError."""
+    x = sec.getfloat(key, default)
+    if x is None:
+        raise ConfigError(f"[pipeline] needs a number for {key}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +243,9 @@ def _run_thm24(cfg, seed: int) -> list[PipelineRow]:
         raise ConfigError(f"k_values must be at least 1, got {min(k_values)}")
     if not any(k < n for n in n_values for k in k_values):
         raise ConfigError("no (n, k) in n_values x k_values has k < n: nothing to check")
-    p_threshold = sec.getfloat("p_threshold", 0.01)
-    params_base = dict(
-        dt=sec.getfloat("dt"), t_end=sec.getfloat("t_end"), stride=sec.getint("stride")
-    )
+    p_threshold = _real(sec, "p_threshold", 0.01)
+    params_base = dict(dt=_real(sec, "dt"), t_end=_real(sec, "t_end"),
+                       stride=_count(sec, "stride"))
     pot = build_potentials(cfg)
     dom = Domain(1, "free", 50.0)
 
@@ -284,11 +290,10 @@ def _run_thm24(cfg, seed: int) -> list[PipelineRow]:
 def _run_thm27(cfg, seed: int) -> list[PipelineRow]:
     sec = cfg["pipeline"]
     replicas = _count(sec, "replicas", least=2)
-    intensity = sec.getfloat("intensity")
-    size = sec.getfloat("domain_size")
-    params_base = dict(
-        dt=sec.getfloat("dt"), t_end=sec.getfloat("t_end"), stride=sec.getint("stride")
-    )
+    intensity = _real(sec, "intensity")
+    size = _real(sec, "domain_size")
+    params_base = dict(dt=_real(sec, "dt"), t_end=_real(sec, "t_end"),
+                       stride=_count(sec, "stride"))
     dom = Domain(1, "torus", size)
     delta = 0.01 / intensity
     origin = np.zeros((1, 1))
@@ -314,13 +319,13 @@ def _run_thm27(cfg, seed: int) -> list[PipelineRow]:
 
     rows = []
     setups = [("free", PotentialSpec(), make_poisson_sampler(dom, intensity, seed), replicas)]
-    psi_strength = sec.getfloat("psi_strength", 0.0)
+    psi_strength = _real(sec, "psi_strength", 0.0)
     if psi_strength > 0:
         n_interacting = (_count(sec, "interacting_replicas", least=2)
                          if "interacting_replicas" in sec else replicas)
         pot = PotentialSpec(psi="soft_core", psi_strength=psi_strength,
-                            psi_range=sec.getfloat("psi_range", 1.0), r_cut=3.0)
-        spec = GibbsSpec(pot, beta=1.0, activity=sec.getfloat("activity", intensity),
+                            psi_range=_real(sec, "psi_range", 1.0), r_cut=3.0)
+        spec = GibbsSpec(pot, beta=1.0, activity=_real(sec, "activity", intensity),
                          burn_in=sec.getint("burn_in", 20000),
                          thin=sec.getint("thin", 50))
         setups.append(("interacting", pot, make_gibbs_sampler(spec, dom, seed + 1),
@@ -350,8 +355,8 @@ def _rho2_rows(field: str, samples, edges, sec, n_grid: int, rho2) -> list[Pipel
     n_grid-point trapezoid), on bins holding at least min_pair_count pairs."""
     centers, values, counts = pair_correlation_separation(samples, edges)
     dom = samples[0].domain
-    tol = sec.getfloat("rho2_tolerance")
-    min_count = sec.getint("min_pair_count")
+    tol = _real(sec, "rho2_tolerance")
+    min_count = _count(sec, "min_pair_count")
     rows = []
     for j, center in enumerate(centers):
         if counts[j] < min_count:
@@ -367,36 +372,35 @@ def _rho2_rows(field: str, samples, edges, sec, n_grid: int, rho2) -> list[Pipel
 
 def _run_dyson(cfg, seed: int) -> list[PipelineRow]:
     sec = cfg["pipeline"]
-    spec = DPPSpec("sine", sec.getint("n_matrix"), sec.getfloat("window_radius"))
-    replicas = sec.getint("replicas")
+    spec = build_spec(DPPSpec, sec, "[pipeline]", kernel="sine")
+    replicas = _count(sec, "replicas")
     samples = [sample_dyson_sine(spec, seed * 31337 + i) for i in range(replicas)]
     rows = []
 
-    tol1 = sec.getfloat("rho1_tolerance")
+    tol1 = _real(sec, "rho1_tolerance")
     rho1 = mean_intensity(samples)
     rows.append(PipelineRow("dyson-rho1", float(rho1), f"within {tol1} of 1",
                             bool(abs(rho1 - 1.0) < tol1)))
     # per-bin intensity flatness across the window
     edges = np.linspace(-spec.window_radius, spec.window_radius,
-                        sec.getint("rho1_bins") + 1)
+                        _count(sec, "rho1_bins") + 1)
     hist = np.array([np.histogram(s.points[:, 0], bins=edges)[0] for s in samples])
     per_bin = hist.mean(axis=0) / np.diff(edges)
     for b, val in enumerate(per_bin):
         rows.append(PipelineRow(f"dyson-rho1-bin{b}", float(val),
                                 f"within {tol1} of 1", bool(abs(val - 1.0) < tol1)))
-    edges2 = np.arange(sec.getfloat("rho2_edges_start"),
-                       sec.getfloat("rho2_edges_stop") + 1e-9,
-                       sec.getfloat("rho2_bin_width"))
+    edges2 = np.arange(_real(sec, "rho2_edges_start"), _real(sec, "rho2_edges_stop") + 1e-9,
+                       _real(sec, "rho2_bin_width"))
     return rows + _rho2_rows("dyson", samples, edges2, sec, 400,
                              lambda s: 1.0 - np.sinc(s) ** 2)
 
 
 def _run_ginibre(cfg, seed: int) -> list[PipelineRow]:
     sec = cfg["pipeline"]
-    spec = DPPSpec("ginibre", sec.getint("n_matrix"), sec.getfloat("window_radius"))
-    replicas = sec.getint("replicas")
+    spec = build_spec(DPPSpec, sec, "[pipeline]", kernel="ginibre")
+    replicas = _count(sec, "replicas")
     samples = [sample_ginibre(spec, seed * 27644437 + i) for i in range(replicas)]
-    tol1 = sec.getfloat("rho1_tolerance")
+    tol1 = _real(sec, "rho1_tolerance")
     rho1 = mean_intensity(samples)
     target = 1.0 / math.pi
     rows = [PipelineRow("ginibre-rho1", float(rho1), f"within {tol1} rel of 1/pi",
@@ -408,7 +412,7 @@ def _run_ginibre(cfg, seed: int) -> list[PipelineRow]:
 def _run_nonexplosion(cfg, seed: int) -> list[PipelineRow]:
     sec = cfg["pipeline"]
     d = sec.getint("dimension", 1)
-    rate = sec.getfloat("exponential_rate", 0.5)
+    rate = _real(sec, "exponential_rate", 0.5)
     cases = [
         ("constant-intensity", constant_log_profile(1.0), "satisfied"),
         (f"exp-{rate}-growth", exponential_log_profile(rate), "satisfied"),
@@ -473,14 +477,14 @@ def _run_forms(cfg, seed: int) -> list[PipelineRow]:
     rng = np.random.default_rng(seed)
     rows = []
 
-    worst = iota_sweep(rng, n_pairs, sec.getfloat("iota_h")).max_residual
-    thr = sec.getfloat("iota_threshold")
+    worst = iota_sweep(rng, n_pairs, _real(sec, "iota_h")).max_residual
+    thr = _real(sec, "iota_threshold")
     rows.append(PipelineRow("iota-identity-max-residual", worst, f"< {thr}",
                             worst < thr))
 
     report = product_check(seed + 13, seed + 29, n_pointwise, n_samples,
-                           sec.getfloat("product_h"))
-    thr = sec.getfloat("product_threshold")
+                           _real(sec, "product_h"))
+    thr = _real(sec, "product_threshold")
     rows.append(PipelineRow("product-pointwise-max-residual", report.max_residual,
                             f"< {thr}", report.max_residual < thr))
     z = report.extra["mc_z"]
@@ -496,7 +500,7 @@ def _run_forms(cfg, seed: int) -> list[PipelineRow]:
         fd = gamma_k(f, g, x, pts, h=1e-5)
         exact = gamma_k(f, g, x, pts, analytic=True)
         worst_rel = max(worst_rel, abs(fd - exact) / (1.0 + abs(exact)))
-    thr = sec.getfloat("oracle_threshold")
+    thr = _real(sec, "oracle_threshold")
     rows.append(PipelineRow("gamma-oracle-max-rel-err", worst_rel, f"< {thr}",
                             worst_rel < thr))
 

@@ -1,11 +1,13 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ibmsim.cli import main
 from ibmsim.persistence import config_sha256, read_configuration, read_trajectory
+from ibmsim.pipelines import DEFAULT_CONFIGS
 
 BASE_CONFIG = """
 [domain]
@@ -83,7 +85,11 @@ thin = 10
 """
 
 SMALL_CONFIGS = {"forms-suite": SMALL_FORMS, "thm24-identity": SMALL_THM24,
-                 "thm27-environment": SMALL_THM27}
+                 "thm27-environment": SMALL_THM27,
+                 "dyson-correlations": DEFAULT_CONFIGS["dyson-correlations"],
+                 "ginibre-correlations": DEFAULT_CONFIGS["ginibre-correlations"]}
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -135,6 +141,49 @@ class TestSampleAndSimulate:
         path.write_text(BASE_CONFIG.replace("psi_range = 0.7", "psi_range = 0"))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "t.txt")]) == 2
         assert capsys.readouterr().err.startswith("error: bad [potentials]")
+
+    def test_readme_example_config_runs(self, tmp_path):
+        example = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        assert " ; " in example  # it carries inline comments
+        path = tmp_path / "readme.cfg"
+        path.write_text(example)
+        out = str(tmp_path / "points.txt")
+        assert main(["sample", "--config", str(path), "--seed", "7", "--out", out]) == 0
+        assert read_configuration(out).domain.geometry == "torus"
+        out = str(tmp_path / "run.traj")
+        assert main(["simulate", "--config", str(path), "--out", out]) == 0
+        traj = read_trajectory(out)
+        assert traj.params.seed == 7 and traj.times[-1] == pytest.approx(1.0)
+
+
+MALFORMED = [  # (command, config, section, key) with one value that does not parse
+    ("simulate", BASE_CONFIG.replace("size = 8.0", "size = big"), "domain", "size"),
+    ("simulate", BASE_CONFIG.replace("psi_strength = 0.4", "psi_strength = abc"),
+     "potentials", "psi_strength"),
+    ("simulate", BASE_CONFIG.replace("t_end = 0.05", "t_end = abc"), "sim", "t_end"),
+    ("sample", BASE_CONFIG.replace("intensity = 1.0", "intensity = x"), "sampler", "intensity"),
+    ("sample", BASE_CONFIG.replace("kind = poisson", "kind = gibbs\nburn_in = lots"),
+     "sampler", "burn_in"),
+    ("analyze", BASE_CONFIG.replace("replicas = 400", "replicas = many"), "analysis", "replicas"),
+    ("check-forms", "[forms]\nidentity = iota\nsamples = few\n", "forms", "samples"),
+    ("pipeline", SMALL_THM24.replace("dt = 2e-3", "dt = soon"), "pipeline", "dt"),
+]
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("command, text, section, key",
+                             [pytest.param(*case, id=f"{case[2]}-{case[3]}") for case in MALFORMED])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, command, text, section, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        extra = {"sample": ["--out", str(tmp_path / "o")],
+                 "simulate": ["--out", str(tmp_path / "o")],
+                 "analyze": ["--kind", "rho1", "--out", str(tmp_path / "o")],
+                 "check-forms": [],
+                 "pipeline": ["--name", "thm24-identity"]}[command]
+        assert main([command, "--config", str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"[{section}] {key}" in err
 
 
 class TestAnalyze:
@@ -242,6 +291,8 @@ class TestPipelineCommand:
         ("thm24-identity", "replicas", 1),
         ("thm27-environment", "replicas", 1),
         ("thm27-environment", "interacting_replicas", 1),
+        ("dyson-correlations", "replicas", 0),
+        ("ginibre-correlations", "replicas", 0),
     ])
     def test_counts_that_check_nothing_rejected(self, tmp_path, capsys, name, key, value):
         cfg = tmp_path / "pipeline.cfg"
@@ -249,18 +300,24 @@ class TestPipelineCommand:
         assert main(["pipeline", "--name", name, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("text", [
-        pytest.param("[pipeline]\nname = forms-suite\nseed = 99\n", id="name-and-seed-only"),
-        pytest.param(SMALL_FORMS.replace("iota_pairs = 10", "iota_pairs ="), id="empty"),
-        pytest.param(SMALL_FORMS.replace("mc_samples = 200", "mc_samples = 2.5"),
+    @pytest.mark.parametrize("name, text", [
+        pytest.param("forms-suite", "[pipeline]\nname = forms-suite\nseed = 99\n",
+                     id="name-and-seed-only"),
+        pytest.param("forms-suite", SMALL_FORMS.replace("iota_pairs = 10", "iota_pairs ="),
+                     id="empty"),
+        pytest.param("forms-suite", SMALL_FORMS.replace("mc_samples = 200", "mc_samples = 2.5"),
                      id="non-integer"),
-        pytest.param(SMALL_FORMS.replace("idempotence_max_points = 6\n", ""),
+        pytest.param("forms-suite", SMALL_FORMS.replace("idempotence_max_points = 6\n", ""),
                      id="missing-cap"),
+        pytest.param("thm24-identity", SMALL_THM24.replace("dt = 2e-3\n", ""),
+                     id="thm24-missing-dt"),
+        pytest.param("thm24-identity", SMALL_THM24.replace("t_end = 0.01", "t_end = soon"),
+                     id="thm24-malformed-t_end"),
     ])
-    def test_missing_or_non_integer_count_rejected(self, tmp_path, capsys, text):
+    def test_missing_or_non_integer_count_rejected(self, tmp_path, capsys, name, text):
         cfg = tmp_path / "pipeline.cfg"
         cfg.write_text(text)
-        assert main(["pipeline", "--name", "forms-suite", "--config", str(cfg)]) == 2
+        assert main(["pipeline", "--name", name, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_pipeline_rejected(self):

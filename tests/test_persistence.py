@@ -11,6 +11,7 @@ from ibmsim.persistence import (
     build_potentials,
     build_sampler,
     build_sim_params,
+    build_spec,
     config_sha256,
     manifest,
     parse_config,
@@ -21,6 +22,7 @@ from ibmsim.persistence import (
     write_manifest,
     write_trajectory,
 )
+from ibmsim.pointprocess import DPPSpec
 from ibmsim.potentials import PotentialSpec
 
 EXAMPLE_CONFIG = """
@@ -45,6 +47,70 @@ dt = 1e-3
 t_end = 0.5
 stride = 10
 seed = 7
+"""
+
+
+# trajectory files as the format has always written them: hex with a
+# cell_size, decimal without one
+WRITTEN_HEX = """\
+# ibm-sim trajectory
+format_version=1
+coord_format=hex
+frame=lab
+d=1
+geometry=torus
+size=0x1.8000000000000p+2
+n_particles=2
+n_tagged=0
+dt=0x1.0624dd2f1a9fcp-10
+t_end=0x1.0624dd2f1a9fcp-9
+seed=3
+stride=1
+cell_size=0x1.4000000000000p+1
+hard_core_mode=reject
+max_retries=7
+prov.note=unit
+
+time=0x0.0p+0
+0x1.0000000000000p+0
+0x1.4000000000000p+1
+runmax 0x0.0p+0 0x0.0p+0
+time=0x1.0624dd2f1a9fcp-10
+0x1.f2b11e1bba94cp-1
+0x1.413650d3c6f3fp+1
+runmax 0x1.a9dc3c88ad680p-6 0x1.3650d3c6f3f00p-7
+time=0x1.0624dd2f1a9fcp-9
+0x1.edb117af771fep-1
+0x1.4437e0ad5ff2dp+1
+runmax 0x1.24ee85088e020p-5 0x1.0df82b57fcb40p-5
+"""
+
+WRITTEN_DECIMAL = """\
+# ibm-sim trajectory
+format_version=1
+coord_format=decimal
+frame=lab
+d=1
+geometry=torus
+size=6
+n_particles=2
+n_tagged=0
+dt=0.001
+t_end=0.002
+seed=4
+stride=2
+cell_size=
+hard_core_mode=reject
+max_retries=20
+
+time=0
+1
+2.5
+runmax 0 0
+time=0.002
+1.0355841810591346
+2.4138389742821253
+runmax 0.035584181059134634 0.086161025717874651
 """
 
 
@@ -116,6 +182,25 @@ class TestTrajectoryFormat:
         text = path.read_text().splitlines()
         path.write_text("\n".join(text[:-2]) + "\n")
         with pytest.raises(FormatError):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize("text, mode, params", [
+        (WRITTEN_HEX, "hex", SimParams(dt=1e-3, t_end=2e-3, seed=3, cell_size=2.5, max_retries=7)),
+        (WRITTEN_DECIMAL, "decimal", SimParams(dt=1e-3, t_end=2e-3, seed=4, stride=2)),
+    ], ids=["hex", "decimal"])
+    def test_written_files_rewrite_to_their_bytes(self, tmp_path, text, mode, params):
+        path = tmp_path / "old.traj"
+        path.write_text(text)
+        traj = read_trajectory(path)
+        assert traj.params == params
+        write_trajectory(traj, tmp_path / "new.traj", coord_format=mode)
+        assert (tmp_path / "new.traj").read_text() == text
+        assert trajectory_equal(traj, read_trajectory(tmp_path / "new.traj"))
+
+    def test_missing_sim_params_key(self, tmp_path):
+        path = tmp_path / "old.traj"
+        path.write_text(WRITTEN_DECIMAL.replace("stride=2\n", ""))
+        with pytest.raises(FormatError, match="missing header key stride"):
             read_trajectory(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -203,6 +288,53 @@ class TestRunConfig:
         config = build_sampler(cfg, dom, 5)(0)
         assert config.domain == dom and len(config) > 0
         assert dom.contains(config.points)
+
+
+class TestBuildSpec:
+    def test_absent_keys_keep_the_dataclass_default(self):
+        assert build_spec(DPPSpec, {"n_matrix": "100"}, "[x]") == DPPSpec(n_matrix=100)
+        assert build_potentials(parse_config("[domain]\ndimension = 1\n")) == PotentialSpec()
+
+    def test_only_str_int_and_float_fields_are_read(self):
+        # the phi table and a DPP kernel are not config keys
+        cfg = parse_config("[potentials]\nphi_table_r = 1, 2\nphi_table_v = 0, 1\n"
+                           "[sampler]\nkind = dyson_sine\nkernel = ginibre\n"
+                           "window_radius = 3\n[domain]\ndimension = 1\n"
+                           "geometry = ball\nsize = 3\n")
+        assert build_potentials(cfg) == PotentialSpec()
+        assert build_sampler(cfg, build_domain(cfg), 1)(0).domain.dimension == 1
+
+    def test_zero_or_empty_cell_size_sums_over_all_pairs(self):
+        for value in ("0", ""):
+            assert build_sim_params(parse_config(f"[sim]\ncell_size = {value}\n")).cell_size is None
+        assert build_sim_params(parse_config("[sim]\ncell_size = 2.5\n")).cell_size == 2.5
+
+    def test_bad_value_names_where_key_and_value(self):
+        with pytest.raises(ConfigError, match=r"\[sim\] seed: '1\.5'"):
+            build_sim_params(parse_config("[sim]\nseed = 1.5\n"))
+        with pytest.raises(ConfigError, match="bad value for here n_matrix: 'x'"):
+            build_spec(DPPSpec, {"n_matrix": "x"}, "here")
+
+
+class TestParseConfig:
+    def test_inline_comments_are_stripped(self):
+        cfg = parse_config("[domain]\ngeometry = ball   ; torus | ball\nsize = 2;no space\n")
+        assert cfg["domain"]["geometry"] == "ball"
+        assert cfg["domain"]["size"] == "2;no space"  # a comment needs whitespace before ;
+
+    @pytest.mark.parametrize("read", [
+        lambda cfg: cfg["a"].getint("n"),
+        lambda cfg: cfg["a"].getfloat("n", 1.0),
+        lambda cfg: cfg.getfloat("a", "n", fallback=1.0),
+        lambda cfg: cfg.getboolean("a", "n"),
+    ], ids=["section-getint", "section-getfloat-fallback", "getfloat-fallback", "getboolean"])
+    def test_every_conversion_raises_config_error(self, read):
+        with pytest.raises(ConfigError, match=r"\[a\] n: 'lots'"):
+            read(parse_config("[a]\nn = lots\n"))
+
+    def test_absent_key_still_falls_back(self):
+        cfg = parse_config("[a]\n")
+        assert cfg["a"].getint("n") is None and cfg.getfloat("a", "n", fallback=2.0) == 2.0
 
 
 class TestManifest:

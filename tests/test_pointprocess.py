@@ -202,6 +202,35 @@ class TestDysonSine:
         with pytest.raises(ConfigError):
             sample_dyson_sine(DPPSpec("ginibre", n_matrix=100, window_radius=2.0), 0)
 
+    def test_exact_gue_counts(self):
+        # the finite-n GUE window counts to five decimals
+        assert gue_window_count(200, 6.0) == pytest.approx(11.99557, abs=1e-5)
+        assert gue_window_count(100, 6.0) == pytest.approx(11.98229, abs=1e-5)
+        assert gue_window_count(50, 3.0) == pytest.approx(5.99122, abs=1e-5)
+
+    def test_mean_window_count_matches_exact_gue_count(self):
+        # a 3% error in the sqrt(n)/pi scale moves the mean by about 0.35,
+        # about 10 se at 500 samples
+        spec = DPPSpec("sine", n_matrix=200, window_radius=6.0)
+        counts = [len(sample_dyson_sine(spec, 700 + s)) for s in range(500)]
+        se = np.std(counts, ddof=1) / math.sqrt(len(counts))
+        assert abs(np.mean(counts) - gue_window_count(200, 6.0)) < 3 * se
+
+
+def gue_window_count(n, w, n_nodes=400):
+    """Exact mean number of eigenvalues of the n x n GUE (weight e^{-x^2/2})
+    in |x| < w pi / sqrt(n): the integral of sum_{k<n} phi_k^2 over that
+    interval, phi_k the orthonormal Hermite functions, by Gauss-Legendre."""
+    a = w * math.pi / math.sqrt(n)
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    x = a * nodes
+    prev, phi = np.zeros_like(x), (2 * math.pi) ** -0.25 * np.exp(-x**2 / 4)
+    density = phi**2
+    for k in range(n - 1):
+        prev, phi = phi, (x * phi - math.sqrt(k) * prev) / math.sqrt(k + 1)
+        density += phi**2
+    return float(a * weights @ density)
+
 
 class TestGinibre:
     def test_intensity_one_over_pi(self):
