@@ -9,7 +9,7 @@ import hashlib
 import io
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -143,16 +143,24 @@ def read_trajectory(path) -> Trajectory:
     if version != TRAJECTORY_FORMAT_VERSION:
         raise VersionMismatch(f"unknown trajectory format version {version}")
     mode = header.get("coord_format", "decimal")
+    number = float.fromhex if mode == "hex" else float
 
-    def need(key, line=2):
-        if key not in header:
-            raise FormatError(f"missing header key {key}", line=line)
-        return header[key]
+    def need(key, parse=str, default=None):
+        text = header.get(key, default)
+        if text is None:
+            raise FormatError(f"missing header key {key}", line=2)
+        try:
+            return parse(text)
+        except ValueError:
+            raise FormatError(f"bad header value {key}={text!r}", line=2) from None
 
-    dom = Domain(int(need("d")), need("geometry"), _decode_float(need("size"), mode, 2))
-    n = int(need("n_particles"))
-    params = build_spec(SimParams, {f.name: need(f.name) for f in fields(SimParams)},
-                        "trajectory header", decode=lambda s: _decode_float(s, mode, 2))
+    dom = Domain(need("d", int), need("geometry"), need("size", number))
+    n = need("n_particles", int)
+    try:
+        params = build_spec(SimParams, {f.name: need(f.name) for f in fields(SimParams)},
+                            "trajectory header", decode=number)
+    except ConfigError as exc:
+        raise FormatError(str(exc), line=2) from None
 
     times, snaps, runmax = [], [], []
     i = body_start - 1
@@ -191,7 +199,7 @@ def read_trajectory(path) -> Trajectory:
         positions=np.asarray(snaps).reshape(len(times), n, dom.dimension),
         domain=dom,
         params=params,
-        n_tagged=int(header.get("n_tagged", "0")),
+        n_tagged=need("n_tagged", int, default="0"),
         running_max=np.asarray(runmax) if runmax else None,
         provenance=provenance,
     )
@@ -281,12 +289,12 @@ def config_sha256(text: str) -> str:
 def build_spec(cls, values, where: str, decode=float, **given):
     """The spec dataclass `cls` from the keys of `values` that name its fields
     annotated (as text) `str`, `int`, `float` or `float | None`, each parsed by
-    that type (floats by `decode`; an empty or zero optional float is None);
-    absent fields keep the dataclass default and `given` fields are passed as
-    they are. A value that does not parse, or that the spec rejects, is a
+    that type (floats by `decode`; an empty optional float is None); absent
+    fields keep the dataclass default and `given` fields are passed as they
+    are. A value that does not parse, or that the spec rejects, is a
     ConfigError naming `where`."""
     parse = {"str": str, "int": int, "float": decode,
-             "float | None": lambda text: (decode(text) or None) if text else None}
+             "float | None": lambda text: decode(text) if text else None}
     kwargs = {f.name: _convert(parse[f.type], values[f.name], where, f.name)
               for f in fields(cls)
               if f.type in parse and f.name in values and f.name not in given}
@@ -314,7 +322,8 @@ def build_potentials(cfg) -> PotentialSpec:
 
 def build_sim_params(cfg, seed: int | None = None) -> SimParams:
     sec = cfg["sim"] if "sim" in cfg else {}
-    return build_spec(SimParams, sec, "[sim]", **({} if seed is None else {"seed": seed}))
+    params = build_spec(SimParams, sec, "[sim]", **({} if seed is None else {"seed": seed}))
+    return replace(params, cell_size=params.cell_size or None)  # 0 sums over all pairs
 
 
 def build_sampler(cfg, domain: Domain, seed: int):

@@ -187,7 +187,12 @@ class TestTrajectoryFormat:
     @pytest.mark.parametrize("text, mode, params", [
         (WRITTEN_HEX, "hex", SimParams(dt=1e-3, t_end=2e-3, seed=3, cell_size=2.5, max_retries=7)),
         (WRITTEN_DECIMAL, "decimal", SimParams(dt=1e-3, t_end=2e-3, seed=4, stride=2)),
-    ], ids=["hex", "decimal"])
+        # the same files with a zero cell_size, as the writer spells it in each mode
+        (WRITTEN_HEX.replace("cell_size=0x1.4000000000000p+1\n", "cell_size=0x0.0p+0\n"), "hex",
+         SimParams(dt=1e-3, t_end=2e-3, seed=3, cell_size=0.0, max_retries=7)),
+        (WRITTEN_DECIMAL.replace("cell_size=\n", "cell_size=0\n"), "decimal",
+         SimParams(dt=1e-3, t_end=2e-3, seed=4, stride=2, cell_size=0.0)),
+    ], ids=["hex", "decimal", "hex-zero-cell", "decimal-zero-cell"])
     def test_written_files_rewrite_to_their_bytes(self, tmp_path, text, mode, params):
         path = tmp_path / "old.traj"
         path.write_text(text)
@@ -202,6 +207,18 @@ class TestTrajectoryFormat:
         path.write_text(WRITTEN_DECIMAL.replace("stride=2\n", ""))
         with pytest.raises(FormatError, match="missing header key stride"):
             read_trajectory(path)
+
+    @pytest.mark.parametrize("line, bad", [
+        ("seed=4", "seed=x"), ("max_retries=20", "max_retries=1.5"), ("stride=2", "stride=0"),
+        ("dt=0.001", "dt=soon"), ("d=1", "d=one"), ("n_particles=2", "n_particles=two"),
+        ("n_tagged=0", "n_tagged=none"), ("size=6", "size=big"),
+    ], ids=["seed", "max_retries", "stride", "dt", "d", "n_particles", "n_tagged", "size"])
+    def test_malformed_header_value_is_format_error(self, tmp_path, line, bad):
+        path = tmp_path / "bad.traj"
+        path.write_text(WRITTEN_DECIMAL.replace(f"\n{line}\n", f"\n{bad}\n", 1))
+        with pytest.raises(FormatError, match=bad.split("=")[0]) as info:
+            read_trajectory(path)
+        assert info.value.line == 2
 
     def test_version_mismatch(self, tmp_path):
         traj = small_trajectory()
@@ -308,6 +325,8 @@ class TestBuildSpec:
         for value in ("0", ""):
             assert build_sim_params(parse_config(f"[sim]\ncell_size = {value}\n")).cell_size is None
         assert build_sim_params(parse_config("[sim]\ncell_size = 2.5\n")).cell_size == 2.5
+        # the zero rule is the config's: build_spec, which also reads .traj headers, keeps 0.0
+        assert build_spec(SimParams, {"cell_size": "0"}, "here").cell_size == 0.0
 
     def test_bad_value_names_where_key_and_value(self):
         with pytest.raises(ConfigError, match=r"\[sim\] seed: '1\.5'"):

@@ -2,11 +2,12 @@
 BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --pr 10 \
-        --pairs 5 --seed 1001 [--workloads cli-trajectories ...] [--extra more.json]
+        --seed 1001 [--pairs 10] [--extra more.json]
 
-For each workload, pair i runs `perfbench/run.py --workload W --seed S+i
---seconds 30 --trace 0` once in each checkout, the parent first in even
-pairs and the change first in odd ones. The file keeps each run's final JSON
+For each workload of the change's BENCHMARK.json, pair i runs
+`perfbench/run.py --workload W --seed S+i --seconds R --trace 0` once in each
+checkout, R being that file's run_seconds, the parent first in even pairs and
+the change first in odd ones; there are at least ten pairs per workload. The file keeps each run's final JSON
 line and its `sha256` lines; per end-to-end metric, the medians and quartiles
 of both sides and in how many pairs the change was better; and, per artifact,
 whether the two sides wrote the same bytes in every pair. Keys of --extra
@@ -24,6 +25,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+MIN_PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -82,24 +84,24 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="parent source checkout")
     parser.add_argument("--change", type=Path, required=True, help="changed source checkout")
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=5, help="alternating pairs per workload")
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS,
+                        help=f"alternating pairs per workload, at least {MIN_PAIRS}")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workloads", nargs="*", default=None,
-                        help="default: every workload in the change's BENCHMARK.json")
     parser.add_argument("--extra", type=Path, default=None,
                         help="JSON object merged into the output")
     parser.add_argument("--out", type=Path, default=None, help="default: BENCH_<pr>.json")
     args = parser.parse_args(argv)
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     report = {"pr": args.pr,
               "command": f"python3 perfbench/run.py --workload W --seed S "
-                         f"--seconds {args.seconds:g} --trace 0",
+                         f"--seconds {seconds} --trace 0",
               "order": "parent first in even pairs, change first in odd pairs",
               "benchmark": {}, "sha256_identical": {}}
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
         for i in range(args.pairs):
             seed = args.seed + i
@@ -107,7 +109,7 @@ def main(argv=None) -> int:
             pair = {}
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
-                pair[side] = run_once(checkout, workload, seed, args.seconds)
+                pair[side] = run_once(checkout, workload, seed, seconds)
                 print(f"{workload} seed {seed} {side}: exit {pair[side]['exit_code']}",
                       file=sys.stderr)
             pairs.append(pair)
