@@ -269,26 +269,6 @@ def campbell_check(samples, sets, ks) -> CampbellReport:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ShellPartition:
-    """Counts of a configuration in the radial shells (r_{j-1}, r_j]."""
-
-    radii: np.ndarray
-    counts: np.ndarray
-
-    def count_within(self, r: float) -> int:
-        return int(self.counts[self.radii <= r].sum())
-
-
-def shell_partition(config: Configuration, radii) -> ShellPartition:
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("shell radii must be strictly increasing")
-    dist = config.domain.distance(config.points, np.zeros(config.domain.dimension))
-    counts = np.histogram(dist, bins=np.concatenate([[0.0], radii]))[0]
-    return ShellPartition(radii, counts)
-
-
-@dataclass
 class PushforwardReport:
     k: int
     r: float

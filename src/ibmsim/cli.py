@@ -39,7 +39,15 @@ from .persistence import (
     write_tsv,
     build_potentials,
 )
-from .pipelines import PIPELINES, iota_sweep, product_check, run_pipeline
+from .pipelines import (
+    PIPELINES,
+    _count,
+    _items,
+    _real,
+    iota_sweep,
+    product_check,
+    run_pipeline,
+)
 
 ANALYSIS_KINDS = ("rho1", "rho2", "campbell", "pushforward", "nonexplosion",
                   "msd", "explosion")
@@ -111,6 +119,11 @@ def _analysis_section(cfg):
     return cfg["analysis"]
 
 
+def _interval(text: str) -> tuple[float, float]:
+    lo, hi = (float(v) for v in text.split(":"))  # anything but two numbers is a ValueError
+    return lo, hi
+
+
 def _collect_samples(cfg, seed, n):
     domain = build_domain(cfg)
     sampler = build_sampler(cfg, domain, seed)
@@ -125,9 +138,9 @@ def cmd_analyze(args) -> int:
     comments = _report_comments(args.kind, text, args.seed)
     rows: list
     if args.kind in ("rho1", "rho2"):
-        samples = _collect_samples(cfg, args.seed, sec.getint("replicas", 1000))
-        edges = np.linspace(sec.getfloat("edges_start"), sec.getfloat("edges_stop"),
+        edges = np.linspace(_real(sec, "edges_start"), _real(sec, "edges_stop"),
                             sec.getint("edges_count", 6))
+        samples = _collect_samples(cfg, args.seed, sec.getint("replicas", 1000))
         order = 1 if args.kind == "rho1" else 2
         est = estimate_rho(samples, order, edges, seed=args.seed)
         if order == 1:
@@ -144,10 +157,9 @@ def cmd_analyze(args) -> int:
                 for j in range(len(edges) - 1)
             ]
     elif args.kind == "campbell":
+        sets = _items(sec, "sets", _interval)
+        ks = _items(sec, "ks")
         samples = _collect_samples(cfg, args.seed, sec.getint("replicas", 1000))
-        sets = [tuple(float(v) for v in pair.split(":"))
-                for pair in sec.get("sets").split(",")]
-        ks = [int(v) for v in sec.get("ks").split(",")]
         report = campbell_check(samples, sets, ks)
         columns = ["lhs", "lhs_se", "rhs", "rhs_se", "z"]
         rows = [(report.lhs, report.lhs_se, report.rhs, report.rhs_se, report.z)]
@@ -155,7 +167,7 @@ def cmd_analyze(args) -> int:
         domain = build_domain(cfg)
         sampler = build_sampler(cfg, domain, args.seed)
         report = pushforward_check(
-            sampler, r=sec.getfloat("r"), k=sec.getint("k"),
+            sampler, r=_real(sec, "r"), k=_count(sec, "k"),
             n_cap=sec.getint("n_cap", 12), replicas=sec.getint("replicas", 10_000),
             seed=args.seed,
         )

@@ -104,17 +104,12 @@ def label_noise(seed: int, step: int, labels, d: int, round_key: int = 0) -> np.
 
 @dataclass(frozen=True)
 class SimParams:
-    """Integrator parameters.
-
-    cell_size is the neighbour-search radius for pair forces and must be
-    >= r_cut; None sums over all pairs. Both give the same bits.
-    """
+    """Integrator parameters."""
 
     dt: float = 1e-3
     t_end: float = 1.0
     seed: int = 0
     stride: int = 1
-    cell_size: float | None = None
     hard_core_mode: str = "reject"
     max_retries: int = 20
 
@@ -177,6 +172,11 @@ def _canonical_slot_order(points: np.ndarray) -> np.ndarray:
 
 
 _ALL_PAIRS_CACHE: dict[int, tuple] = {}
+# the integrator searches pairs with a cKDTree at radius r_cut from this many
+# points on and over all pairs below, with the same bits either way; at
+# density 1 and r_cut = 3 the tree is the faster from about N = 96 in d = 1
+# and 2, and from about N = 384 in d = 3
+_TREE_MIN_POINTS = 128
 
 
 def _close_pairs(points: np.ndarray, domain: Domain, radius: float | None):
@@ -205,24 +205,22 @@ def _close_pairs(points: np.ndarray, domain: Domain, radius: float | None):
 
 
 def _drift(points: np.ndarray, domain: Domain, potentials: PotentialSpec,
-           cell_size: float | None):
+           radius: float | None):
     """Drift -1/2 grad Phi - 1/2 sum_j grad Psi, cutoff at r_cut, and the
-    capped-force counter.
+    capped-force counter; pairs are searched within radius (None: all pairs).
 
     Pairs are indexed by canonical (lexicographic) rank and sorted by (i, j),
     and bincount adds each particle's terms one at a time in that order, so
     every search radius >= r_cut gives the same bits and the sum is invariant
     under slot relabeling.
     """
-    if cell_size is not None and potentials.has_pair and cell_size < potentials.r_cut:
-        raise ConfigError("cell_size must be >= r_cut")
     drift = -0.5 * potentials.phi_gradient(points)
     n, d = points.shape
     if n < 2 or not potentials.has_pair:
         return drift, 0
     slots = _canonical_slot_order(points)
     canon = points[slots]
-    i, j = _close_pairs(canon, domain, cell_size)
+    i, j = _close_pairs(canon, domain, radius)
     diff = domain.displacement(canon[i], canon[j])
     dist = np.sqrt((diff * diff).sum(axis=-1))
     keep = (dist <= potentials.r_cut).nonzero()[0]
@@ -240,9 +238,13 @@ def compute_drift(state: LabeledState, potentials: PotentialSpec,
     """Per-particle drift -1/2 grad Phi - 1/2 sum_j grad Psi, cutoff at r_cut.
 
     cell_size None sums over all pairs; a number is the neighbour-search
-    radius and must be >= r_cut. Both give the same bits. Raises Overlap when
+    radius and must be >= r_cut. Both give the same bits, so this is the
+    all-pairs-versus-tree reference that the exactness checks call; the
+    integrator picks its own route from N and r_cut. Raises Overlap when
     hard-core particles already overlap on input.
     """
+    if cell_size is not None and potentials.has_pair and cell_size < potentials.r_cut:
+        raise ConfigError("cell_size must be >= r_cut")
     if potentials.has_hard_core and len(state) > 1:
         if state.configuration().min_pair_distance() < potentials.hard_core_sigma:
             raise Overlap("hard-core particles overlap on input")
@@ -297,13 +299,15 @@ def _reflect_hard_core(points: np.ndarray, domain: Domain, sigma: float):
 
 
 class _Stepper:
-    """One Euler-Maruyama update, tracking unwrapped displacement."""
+    """One Euler-Maruyama update of n points, tracking unwrapped displacement."""
 
     def __init__(self, domain: Domain, potentials: PotentialSpec, params: SimParams,
-                 stream_labels=None):
+                 n: int, stream_labels=None):
         self.domain = domain
         self.potentials = potentials
         self.params = params
+        tree = math.isfinite(potentials.r_cut) and n >= _TREE_MIN_POINTS
+        self.radius = potentials.r_cut if tree else None  # None: all pairs
         self.stream_labels = stream_labels
         self.capped = 0
         self.halvings = 0
@@ -316,7 +320,7 @@ class _Stepper:
         n, d = points.shape
         streams = self.stream_labels if self.stream_labels is not None else n
         sigma = self.potentials.hard_core_sigma
-        drift, capped = _drift(points, self.domain, self.potentials, params.cell_size)
+        drift, capped = _drift(points, self.domain, self.potentials, self.radius)
         self.capped += capped
         sqrt_dt = math.sqrt(dt)
         for attempt in range(params.max_retries):
@@ -349,7 +353,7 @@ class _Stepper:
 
 def step(state: LabeledState, potentials: PotentialSpec, dt: float, seed: int,
          step_index: int = 1, hard_core_mode: str = "reject",
-         max_retries: int = 20, cell_size: float | None = None) -> LabeledState:
+         max_retries: int = 20) -> LabeledState:
     """One Euler-Maruyama update of the labeled state.
 
     X' = X + drift dt + sqrt(dt) xi with per-label standard normal xi drawn
@@ -357,8 +361,8 @@ def step(state: LabeledState, potentials: PotentialSpec, dt: float, seed: int,
     applied, and hard cores are handled per hard_core_mode.
     """
     params = SimParams(dt=dt, t_end=dt, seed=seed, hard_core_mode=hard_core_mode,
-                       max_retries=max_retries, cell_size=cell_size)
-    stepper = _Stepper(state.domain, potentials, params)
+                       max_retries=max_retries)
+    stepper = _Stepper(state.domain, potentials, params, len(state))
     pts, _ = stepper.advance(state.points.copy(), state.points.copy(), step_index)
     return LabeledState(pts, state.domain, validate=False)
 
@@ -372,7 +376,7 @@ def simulate(initial: LabeledState, potentials: PotentialSpec,
     slot index), which makes label-permutation equivariance an exact identity.
     """
     domain = initial.domain
-    stepper = _Stepper(domain, potentials, params, stream_labels)
+    stepper = _Stepper(domain, potentials, params, len(initial), stream_labels)
     if potentials.has_hard_core and len(initial) > 1:
         if initial.configuration().min_pair_distance() < potentials.hard_core_sigma:
             raise Overlap("hard-core particles overlap in the initial state")

@@ -9,7 +9,7 @@ import hashlib
 import io
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def read_configuration(path) -> Configuration:
 # trajectory files
 # ---------------------------------------------------------------------------
 
-def write_trajectory(traj: Trajectory, path, coord_format: str = "decimal",
-                     frame: str = "lab") -> None:
+def write_trajectory(traj: Trajectory, path, coord_format: str = "decimal") -> None:
     """Header of key=value lines, then one block per snapshot: a time line,
     N coordinate lines and a running-max line."""
     if coord_format not in ("decimal", "hex"):
@@ -88,15 +87,15 @@ def write_trajectory(traj: Trajectory, path, coord_format: str = "decimal",
     buf.write("# ibm-sim trajectory\n")
     buf.write(f"format_version={TRAJECTORY_FORMAT_VERSION}\n")
     buf.write(f"coord_format={coord_format}\n")
-    buf.write(f"frame={frame}\n")
+    buf.write("frame=lab\n")
     buf.write(f"d={dom.dimension}\ngeometry={dom.geometry}\n")
     buf.write(f"size={_encode_float(dom.size, coord_format)}\n")
     buf.write(f"n_particles={traj.n_particles}\nn_tagged={traj.n_tagged}\n")
     for f in fields(SimParams):
         value = getattr(traj.params, f.name)
-        if value is not None and f.type.startswith("float"):
+        if f.type == "float":
             value = _encode_float(value, coord_format)
-        buf.write(f"{f.name}={'' if value is None else value}\n")
+        buf.write(f"{f.name}={value}\n")
     for key, value in sorted(traj.provenance.items()):
         buf.write(f"prov.{key}={value}\n")
     buf.write("\n")
@@ -205,25 +204,6 @@ def read_trajectory(path) -> Trajectory:
     )
 
 
-def write_environment_path(times, configs, params: SimParams, path,
-                           coord_format: str = "decimal") -> None:
-    """Serialize an environment path (constant point count) in the trajectory
-    format, flagged frame=tagged."""
-    counts = {len(c) for c in configs}
-    if len(counts) != 1:
-        raise ConfigError("environment path must have a constant point count")
-    positions = np.stack([c.points for c in configs], axis=0)
-    traj = Trajectory(
-        times=np.asarray(times, dtype=float),
-        positions=positions,
-        domain=configs[0].domain,
-        params=params,
-        n_tagged=0,
-        running_max=None,
-    )
-    write_trajectory(traj, path, coord_format=coord_format, frame="tagged")
-
-
 def trajectory_equal(a: Trajectory, b: Trajectory) -> bool:
     """Bit-exact equality of the persisted content."""
     return (
@@ -288,13 +268,11 @@ def config_sha256(text: str) -> str:
 
 def build_spec(cls, values, where: str, decode=float, **given):
     """The spec dataclass `cls` from the keys of `values` that name its fields
-    annotated (as text) `str`, `int`, `float` or `float | None`, each parsed by
-    that type (floats by `decode`; an empty optional float is None); absent
-    fields keep the dataclass default and `given` fields are passed as they
-    are. A value that does not parse, or that the spec rejects, is a
-    ConfigError naming `where`."""
-    parse = {"str": str, "int": int, "float": decode,
-             "float | None": lambda text: decode(text) if text else None}
+    annotated (as text) `str`, `int` or `float`, each parsed by that type
+    (floats by `decode`); absent fields keep the dataclass default and `given`
+    fields are passed as they are. A value that does not parse, or that the
+    spec rejects, is a ConfigError naming `where`."""
+    parse = {"str": str, "int": int, "float": decode}
     kwargs = {f.name: _convert(parse[f.type], values[f.name], where, f.name)
               for f in fields(cls)
               if f.type in parse and f.name in values and f.name not in given}
@@ -322,8 +300,7 @@ def build_potentials(cfg) -> PotentialSpec:
 
 def build_sim_params(cfg, seed: int | None = None) -> SimParams:
     sec = cfg["sim"] if "sim" in cfg else {}
-    params = build_spec(SimParams, sec, "[sim]", **({} if seed is None else {"seed": seed}))
-    return replace(params, cell_size=params.cell_size or None)  # 0 sums over all pairs
+    return build_spec(SimParams, sec, "[sim]", **({} if seed is None else {"seed": seed}))
 
 
 def build_sampler(cfg, domain: Domain, seed: int):

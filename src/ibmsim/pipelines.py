@@ -197,7 +197,7 @@ def _count(sec, key: str, least: int = 1) -> int:
     non-integer value is a ConfigError."""
     n = sec.getint(key)
     if n is None or n < least:
-        raise ConfigError(f"{key} must be an integer of at least {least}, "
+        raise ConfigError(f"[{sec.name}] {key} must be an integer of at least {least}, "
                           f"got {sec.get(key)!r}")
     return n
 
@@ -207,8 +207,21 @@ def _real(sec, key: str, default: float | None = None) -> float:
     without a default is a ConfigError."""
     x = sec.getfloat(key, default)
     if x is None:
-        raise ConfigError(f"[pipeline] needs a number for {key}")
+        raise ConfigError(f"[{sec.name}] {key} needs a number")
     return x
+
+
+def _items(sec, key: str, parse=int) -> list:
+    """The comma-separated list sec[key], each item read by `parse`; a missing
+    or empty list, or an item that `parse` rejects with a ValueError, is a
+    ConfigError."""
+    text = sec.get(key)
+    if not text:
+        raise ConfigError(f"[{sec.name}] {key} needs a comma-separated list")
+    try:
+        return [parse(item) for item in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad value for [{sec.name}] {key}: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +250,8 @@ def _path_functionals(positions: np.ndarray) -> dict[str, float]:
 def _run_thm24(cfg, seed: int) -> list[PipelineRow]:
     sec = cfg["pipeline"]
     replicas = _count(sec, "replicas", least=2)
-    n_values = [int(v) for v in sec.get("n_values").split(",")]
-    k_values = [int(v) for v in sec.get("k_values").split(",")]
+    n_values = _items(sec, "n_values")
+    k_values = _items(sec, "k_values")
     if min(k_values) < 1:  # a k = 0 arm reruns the unlabeled arm's paths bit for bit
         raise ConfigError(f"k_values must be at least 1, got {min(k_values)}")
     if not any(k < n for n in n_values for k in k_values):

@@ -21,7 +21,6 @@ from ibmsim.analysis import (
     pair_correlation_separation,
     paired_z,
     pushforward_check,
-    shell_partition,
 )
 from ibmsim.configuration import Configuration, Domain
 from ibmsim.dynamics import SimParams, simulate
@@ -228,13 +227,6 @@ class TestPushforward:
             report = pushforward_check(sampler, r=2.0, k=k, n_cap=12,
                                        replicas=2000, seed=k)
             assert abs(report.z) < 3.0
-
-    def test_shell_partition(self):
-        dom = Domain(1, "free", 10.0)
-        config = Configuration([0.5, 1.5, 2.5, -0.2], dom)
-        part = shell_partition(config, [1.0, 2.0, 3.0])
-        assert part.counts.tolist() == [2, 1, 1]
-        assert part.count_within(2.0) == 3
 
 
 class TestEll:

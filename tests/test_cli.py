@@ -156,7 +156,10 @@ class TestSampleAndSimulate:
         assert traj.params.seed == 7 and traj.times[-1] == pytest.approx(1.0)
 
 
-MALFORMED = [  # (command, config, section, key) with one value that does not parse
+CAMPBELL = BASE_CONFIG + "sets = 0:1,1:2\nks = 1,1\n"
+PUSHFORWARD = BASE_CONFIG + "r = 2.0\nk = 1\n"
+
+MALFORMED = [  # (command, config, section, key) with one value missing or not parsing
     ("simulate", BASE_CONFIG.replace("size = 8.0", "size = big"), "domain", "size"),
     ("simulate", BASE_CONFIG.replace("psi_strength = 0.4", "psi_strength = abc"),
      "potentials", "psi_strength"),
@@ -165,8 +168,16 @@ MALFORMED = [  # (command, config, section, key) with one value that does not pa
     ("sample", BASE_CONFIG.replace("kind = poisson", "kind = gibbs\nburn_in = lots"),
      "sampler", "burn_in"),
     ("analyze", BASE_CONFIG.replace("replicas = 400", "replicas = many"), "analysis", "replicas"),
+    ("analyze", BASE_CONFIG.replace("edges_start = 0.0\n", ""), "analysis", "edges_start"),
+    ("analyze", BASE_CONFIG.replace("edges_stop = 8.0\n", ""), "analysis", "edges_stop"),
+    ("analyze --kind campbell", CAMPBELL.replace("sets = 0:1,1:2", "sets = 0:1,a"),
+     "analysis", "sets"),
+    ("analyze --kind campbell", CAMPBELL.replace("ks = 1,1", "ks = 1,one"), "analysis", "ks"),
+    ("analyze --kind pushforward", PUSHFORWARD.replace("r = 2.0\n", ""), "analysis", "r"),
+    ("analyze --kind pushforward", PUSHFORWARD.replace("k = 1\n", ""), "analysis", "k"),
     ("check-forms", "[forms]\nidentity = iota\nsamples = few\n", "forms", "samples"),
     ("pipeline", SMALL_THM24.replace("dt = 2e-3", "dt = soon"), "pipeline", "dt"),
+    ("pipeline", SMALL_THM24.replace("n_values = 3", "n_values = 3,x"), "pipeline", "n_values"),
 ]
 
 
@@ -176,9 +187,10 @@ class TestMalformedValues:
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, text, section, key):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
+        command, *kind = command.split()
         extra = {"sample": ["--out", str(tmp_path / "o")],
                  "simulate": ["--out", str(tmp_path / "o")],
-                 "analyze": ["--kind", "rho1", "--out", str(tmp_path / "o")],
+                 "analyze": [*(kind or ["--kind", "rho1"]), "--out", str(tmp_path / "o")],
                  "check-forms": [],
                  "pipeline": ["--name", "thm24-identity"]}[command]
         assert main([command, "--config", str(path), *extra]) == 2
@@ -195,6 +207,17 @@ class TestAnalyze:
         lines = [l for l in open(out) if not l.startswith("#")]
         assert lines[0].split("\t")[0] == "bin_lo"
         assert len(lines) == 5  # header + 4 bins
+
+    @pytest.mark.parametrize("kind, text, columns", [
+        ("campbell", CAMPBELL, "lhs"), ("pushforward", PUSHFORWARD, "k"),
+    ], ids=["campbell", "pushforward"])
+    def test_list_and_required_keys_read(self, tmp_path, kind, text, columns):
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / f"{kind}.tsv"
+        assert main(["analyze", "--kind", kind, "--config", str(cfg), "--out", str(out)]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0].split("\t")[0] == columns and len(lines) == 2
 
     def test_nonexplosion_scan_report(self, tmp_path):
         cfg = tmp_path / "ne.cfg"

@@ -213,9 +213,50 @@ class TestComputeDrift:
         pot = PotentialSpec(psi="soft_core", r_cut=2.0)
         state = LabeledState([1.0, 2.0], dom)
         with pytest.raises(ConfigError):
-            simulate(state, pot, SimParams(dt=1e-3, t_end=1e-3, cell_size=1.0))
-        with pytest.raises(ConfigError):
             compute_drift(state, pot, cell_size=1.0)
+
+
+class TestPairSearchRoute:
+    """The integrator searches pairs with the tree at radius r_cut from
+    _TREE_MIN_POINTS points on, and over all pairs below that or for an
+    infinite r_cut; both routes give the same bits."""
+
+    @staticmethod
+    def run(n, r_cut=2.5):
+        rng = np.random.default_rng(60)
+        dom = Domain(2, "torus", math.sqrt(n))
+        pot = PotentialSpec(psi="soft_core", psi_strength=1.0, psi_range=0.7, r_cut=r_cut)
+        state = LabeledState(rng.uniform(0, dom.size, size=(n, 2)), dom)
+        return simulate(state, pot, SimParams(dt=1e-3, t_end=3e-3, seed=61))
+
+    @staticmethod
+    def record_radii(monkeypatch):
+        radii = []
+        close_pairs = dynamics._close_pairs
+
+        def recording(points, domain, radius):
+            radii.append(radius)
+            return close_pairs(points, domain, radius)
+
+        monkeypatch.setattr(dynamics, "_close_pairs", recording)
+        return radii
+
+    @pytest.mark.parametrize("n, r_cut, radius", [
+        (150, 2.5, 2.5), (20, 2.5, None), (150, math.inf, None),
+    ], ids=["tree", "few-points", "infinite-r_cut"])
+    def test_search_radius(self, monkeypatch, n, r_cut, radius):
+        radii = self.record_radii(monkeypatch)
+        self.run(n, r_cut)
+        assert radii == [radius] * 3  # one drift per step
+
+    def test_tree_and_all_pairs_paths_are_bitwise_equal(self, monkeypatch):
+        tree = self.run(150)
+        monkeypatch.setattr(dynamics, "_TREE_MIN_POINTS", 151)
+        radii = self.record_radii(monkeypatch)
+        all_pairs = self.run(150)
+        assert radii == [None] * 3
+        assert np.array_equal(tree.positions, all_pairs.positions)
+        assert np.array_equal(tree.running_max, all_pairs.running_max)
 
 
 class TestNoise:

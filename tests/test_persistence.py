@@ -50,8 +50,8 @@ seed = 7
 """
 
 
-# trajectory files as the format has always written them: hex with a
-# cell_size, decimal without one
+# trajectory files as the format wrote them while SimParams had a cell_size:
+# hex with one, decimal with an empty one. The reader skips that line now.
 WRITTEN_HEX = """\
 # ibm-sim trajectory
 format_version=1
@@ -185,21 +185,19 @@ class TestTrajectoryFormat:
             read_trajectory(path)
 
     @pytest.mark.parametrize("text, mode, params", [
-        (WRITTEN_HEX, "hex", SimParams(dt=1e-3, t_end=2e-3, seed=3, cell_size=2.5, max_retries=7)),
+        (WRITTEN_HEX, "hex", SimParams(dt=1e-3, t_end=2e-3, seed=3, max_retries=7)),
         (WRITTEN_DECIMAL, "decimal", SimParams(dt=1e-3, t_end=2e-3, seed=4, stride=2)),
-        # the same files with a zero cell_size, as the writer spells it in each mode
-        (WRITTEN_HEX.replace("cell_size=0x1.4000000000000p+1\n", "cell_size=0x0.0p+0\n"), "hex",
-         SimParams(dt=1e-3, t_end=2e-3, seed=3, cell_size=0.0, max_retries=7)),
-        (WRITTEN_DECIMAL.replace("cell_size=\n", "cell_size=0\n"), "decimal",
-         SimParams(dt=1e-3, t_end=2e-3, seed=4, stride=2, cell_size=0.0)),
-    ], ids=["hex", "decimal", "hex-zero-cell", "decimal-zero-cell"])
+    ], ids=["hex", "decimal"])
     def test_written_files_rewrite_to_their_bytes(self, tmp_path, text, mode, params):
         path = tmp_path / "old.traj"
         path.write_text(text)
         traj = read_trajectory(path)
         assert traj.params == params
         write_trajectory(traj, tmp_path / "new.traj", coord_format=mode)
-        assert (tmp_path / "new.traj").read_text() == text
+        written = (tmp_path / "new.traj").read_text()
+        assert written == "".join(line for line in text.splitlines(keepends=True)
+                                  if not line.startswith("cell_size="))
+        assert len(written.splitlines()) == len(text.splitlines()) - 1
         assert trajectory_equal(traj, read_trajectory(tmp_path / "new.traj"))
 
     def test_missing_sim_params_key(self, tmp_path):
@@ -230,25 +228,6 @@ class TestTrajectoryFormat:
             read_trajectory(path)
 
 
-class TestEnvironmentPath:
-    def test_round_trip_with_tagged_frame(self, tmp_path):
-        from ibmsim.persistence import write_environment_path
-        from ibmsim.tagged import environment_process
-
-        traj = small_trajectory()
-        env = environment_process(traj, traj.positions[0, 0])
-        path = tmp_path / "env.traj"
-        write_environment_path(traj.times, env, traj.params, path)
-        text = path.read_text()
-        assert "frame=tagged" in text
-        back = read_trajectory(path)
-        assert back.n_particles == traj.n_particles - 1
-        for t, config in enumerate(env):
-            assert np.array_equal(
-                np.sort(back.positions[t], axis=0), config.canonical()
-            )
-
-
 class TestRunConfig:
     def test_build_everything(self):
         cfg = parse_config(EXAMPLE_CONFIG)
@@ -269,7 +248,12 @@ class TestRunConfig:
     def test_sim_defaults_without_section(self):
         params = build_sim_params(parse_config("[domain]\ndimension = 1\n"))
         assert (params.dt, params.t_end, params.seed, params.stride) == (1e-3, 1.0, 0, 1)
-        assert params.cell_size is None and params.max_retries == 20
+        assert params.hard_core_mode == "reject" and params.max_retries == 20
+
+    def test_keys_that_name_no_sim_field_are_ignored(self):
+        # configs written while SimParams had a cell_size still run
+        cfg = parse_config(EXAMPLE_CONFIG.replace("seed = 7", "seed = 7\ncell_size = 3.0"))
+        assert build_sim_params(cfg) == build_sim_params(parse_config(EXAMPLE_CONFIG))
 
     @pytest.mark.parametrize("line", [
         "phi = table", "psi_range = 0", "psi_range = -1", "hard_core_diameter = -0.5",
@@ -320,13 +304,6 @@ class TestBuildSpec:
                            "geometry = ball\nsize = 3\n")
         assert build_potentials(cfg) == PotentialSpec()
         assert build_sampler(cfg, build_domain(cfg), 1)(0).domain.dimension == 1
-
-    def test_zero_or_empty_cell_size_sums_over_all_pairs(self):
-        for value in ("0", ""):
-            assert build_sim_params(parse_config(f"[sim]\ncell_size = {value}\n")).cell_size is None
-        assert build_sim_params(parse_config("[sim]\ncell_size = 2.5\n")).cell_size == 2.5
-        # the zero rule is the config's: build_spec, which also reads .traj headers, keeps 0.0
-        assert build_spec(SimParams, {"cell_size": "0"}, "here").cell_size == 0.0
 
     def test_bad_value_names_where_key_and_value(self):
         with pytest.raises(ConfigError, match=r"\[sim\] seed: '1\.5'"):
