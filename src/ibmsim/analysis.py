@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from .configuration import BALL, Configuration, KLabeledState, falling_factorial, kappa
+from .configuration import BALL, Configuration, KLabeledState, _all_pairs, falling_factorial, kappa
 from .errors import InsufficientSamples
 
 _SE_FLOOR_REL = 1e-9  # paired z-scores: identical routes differ only by float noise
@@ -132,9 +132,8 @@ def pair_correlation_separation(samples, edges):
     radius, d = dom.size, dom.dimension
     counts = []
     for s in samples:
-        i, j = np.triu_indices(len(s), k=1)
-        sep = dom.distance(s.points[i], s.points[j])
-        counts.append(2.0 * np.histogram(sep, bins=edges)[0])  # ordered pairs
+        i, j = _all_pairs(len(s))
+        counts.append(np.histogram(dom.distance(s.points[i], s.points[j]), bins=edges)[0])
     counts = np.asarray(counts, dtype=float)
     if d == 1:
         geom = 2.0 * (2.0 * radius * np.diff(edges) - 0.5 * np.diff(edges**2))

@@ -137,6 +137,8 @@ def cmd_analyze(args) -> int:
     started = time.time()
     comments = _report_comments(args.kind, text, args.seed)
     rows: list
+    if args.kind in ("msd", "explosion") and not args.inputs:
+        raise ConfigError(f"analyze --kind {args.kind} needs --in with a trajectory file")
     if args.kind in ("rho1", "rho2"):
         edges = np.linspace(_real(sec, "edges_start"), _real(sec, "edges_stop"),
                             sec.getint("edges_count", 6))
@@ -160,7 +162,10 @@ def cmd_analyze(args) -> int:
         sets = _items(sec, "sets", _interval)
         ks = _items(sec, "ks")
         samples = _collect_samples(cfg, args.seed, sec.getint("replicas", 1000))
-        report = campbell_check(samples, sets, ks)
+        try:
+            report = campbell_check(samples, sets, ks)
+        except ValueError as exc:  # sets or ks outside what the identity check covers
+            raise ConfigError(f"[analysis] sets/ks: {exc}") from None
         columns = ["lhs", "lhs_se", "rhs", "rhs_se", "z"]
         rows = [(report.lhs, report.lhs_se, report.rhs, report.rhs_se, report.z)]
     elif args.kind == "pushforward":

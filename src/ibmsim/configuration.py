@@ -4,6 +4,7 @@ tagged-frame change of coordinates (iota)."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -135,6 +136,55 @@ def _private(pts: np.ndarray) -> np.ndarray:
     return out
 
 
+# the pair search: every pair loop of the package goes through these helpers
+@functools.cache
+def _all_pairs(n: int):
+    """Ordered pairs (i, j), i != j, of n points, sorted by i then j (its i < j
+    rows are the upper triangle in row order); cached per n, read-only."""
+    pairs = np.nonzero(~np.eye(n, dtype=bool))
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+def _close_pairs(points: np.ndarray, domain: Domain, radius: float | None):
+    """Ordered pairs (i, j), i != j, sorted by i then j, within radius (all
+    pairs when None). The radius is padded so the tree's rounding never drops
+    a pair; callers apply their exact cutoff with Domain.displacement."""
+    if radius is None:
+        return _all_pairs(points.shape[0])
+    box = domain.size if domain.geometry == TORUS else None
+    half = cKDTree(points, boxsize=box).query_pairs(radius * (1 + 1e-9),
+                                                    output_type="ndarray")
+    i, j = np.concatenate([half, half[:, ::-1]]).T
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
+def _min_gap(points: np.ndarray, domain: Domain) -> float:
+    """Smallest pair distance of the (n, d) points (inf below two points), with
+    the bits of the all-pairs minimum: in one dimension the smallest gap of the
+    sorted points (and the torus wrap-around gap), else the exact distances of
+    the pairs within the tree's nearest-neighbour distance."""
+    if points.shape[0] < 2:
+        return math.inf
+    if domain.dimension == 1:
+        flat = np.sort(points[:, 0])
+        # + 0.0: a sort may put 0.0 before -0.0, and the all-pairs minimum is +0.0
+        gap = float((flat[1:] - flat[:-1]).min()) + 0.0
+        if domain.geometry == TORUS:
+            gap = min(gap, domain.size - float(flat[-1] - flat[0]))
+        return gap
+    box = domain.size if domain.geometry == TORUS else None
+    wrapped = domain.wrap(points)
+    nearest = float(cKDTree(wrapped, boxsize=box).query(wrapped, k=2)[0][:, 1].min())
+    if nearest == 0.0:
+        return 0.0  # coincident points
+    i, j = _close_pairs(wrapped, domain, nearest)
+    diff = domain.displacement(points[i], points[j])
+    return float(np.sqrt(np.sum(diff * diff, axis=-1)).min())
+
+
 class Configuration:
     """Finite unordered point pattern in a domain.
 
@@ -200,30 +250,8 @@ class Configuration:
         return bool(np.max(np.abs(a - b)) <= tol)
 
     def min_pair_distance(self) -> float:
-        n = len(self)
-        if n < 2:
-            return math.inf
-        dom = self.domain
-        pts = self.points
-        if dom.dimension == 1:
-            # sorted gaps suffice in one dimension (plus the wrap-around gap)
-            flat = self.canonical()[:, 0]
-            gap = float((flat[1:] - flat[:-1]).min())
-            if dom.geometry == TORUS:
-                gap = min(gap, dom.size - float(flat[-1] - flat[0]))
-            return gap
-        # candidates: pairs within the tree's nearest-neighbour distance,
-        # padded as dynamics._close_pairs pads its radius so the tree's
-        # rounding never drops the closest pair
-        box = dom.size if dom.geometry == TORUS else None
-        tree_pts = dom.wrap(pts)
-        tree = cKDTree(tree_pts, boxsize=box)
-        nearest = float(tree.query(tree_pts, k=2)[0][:, 1].min())
-        if nearest == 0.0:
-            return 0.0  # coincident points
-        i, j = tree.query_pairs(nearest * (1 + 1e-9), output_type="ndarray").T
-        diff = dom.displacement(pts[i], pts[j])
-        return float(np.sqrt(np.sum(diff * diff, axis=-1)).min())
+        pts = self.canonical() if self.domain.dimension == 1 else self.points
+        return _min_gap(pts, self.domain)
 
     def is_single(self, eps: float | None = None) -> bool:
         """True when no two points coincide within eps (default: domain tol)."""

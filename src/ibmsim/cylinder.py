@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .configuration import _all_pairs
+
 
 def _as_rows(pts, d: int) -> np.ndarray:
     """Points as a float (n, d) array."""
@@ -255,14 +257,9 @@ class PairStatistic(CylinderFunction):
         self.phi = phi
         self.d = phi.d
 
-    def _pairs(self, pts):
-        """Points and their index pairs (i, j), i != j, in (i, j) order."""
-        pts = _as_rows(pts, self.d)
-        i, j = np.nonzero(~np.eye(pts.shape[0], dtype=bool))
-        return pts, i, j
-
     def value(self, x, pts):
-        pts, i, j = self._pairs(pts)
+        pts = _as_rows(pts, self.d)
+        i, j = _all_pairs(pts.shape[0])
         return 0.5 * math.fsum(self.phi.values(pts[i] - pts[j]).tolist())
 
     @property
@@ -270,16 +267,15 @@ class PairStatistic(CylinderFunction):
         return True  # a reordering permutes the pair rows; fsum is exact in any order
 
     def grads(self, x, pts):
-        pts, i, j = self._pairs(pts)
+        pts = _as_rows(pts, self.d)
         n = pts.shape[0]
-        g = np.zeros((n, n, self.d))
-        g[i, j] = self.phi.gradients(pts[i] - pts[j])
-        term = 0.5 * (g - g.transpose(1, 0, 2))
-        # add each j in turn, as the per-pair sum does; the zero diagonal
-        # term leaves a +0.0-started sum unchanged
+        i, j = _all_pairs(n)
+        g = self.phi.gradients(pts[i] - pts[j])
+        term = 0.5 * (g - g[j * (n - 1) + i - (i > j)])  # minus the (j, i) row
+        # bincount adds each i's terms in j order, as the per-pair sum does
         grad = np.zeros_like(pts)
-        for col in range(n):
-            grad += term[:, col]
+        for a in range(self.d):
+            grad[:, a] = np.bincount(i, weights=term[:, a], minlength=n)
         return _no_tagged(x, self.d), grad
 
 

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .configuration import (
     BALL,
@@ -21,6 +20,9 @@ from .configuration import (
     Domain,
     KLabeledState,
     LabeledState,
+    _all_pairs,
+    _close_pairs,
+    _min_gap,
     kappa,
 )
 from .errors import ConfigError, Overlap, StepRejected
@@ -166,42 +168,11 @@ class Trajectory:
         return KLabeledState(self.positions[i, : self.n_tagged], background, validate=False)
 
 
-def _canonical_slot_order(points: np.ndarray) -> np.ndarray:
-    """Label-free total order on slots (lexicographic in position)."""
-    return np.lexsort(points.T[::-1])
-
-
-_ALL_PAIRS_CACHE: dict[int, tuple] = {}
 # the integrator searches pairs with a cKDTree at radius r_cut from this many
 # points on and over all pairs below, with the same bits either way; at
 # density 1 and r_cut = 3 the tree is the faster from about N = 96 in d = 1
 # and 2, and from about N = 384 in d = 3
 _TREE_MIN_POINTS = 128
-
-
-def _close_pairs(points: np.ndarray, domain: Domain, radius: float | None):
-    """Ordered pairs (i, j), i != j, sorted by i then j, of every pair within
-    radius; all pairs when radius is None.
-
-    The search radius is padded so the tree's own rounding never drops a
-    pair; callers apply their exact cutoff with Domain.displacement.
-    """
-    if radius is None:
-        n = points.shape[0]
-        pairs = _ALL_PAIRS_CACHE.get(n)
-        if pairs is None:
-            pairs = np.nonzero(~np.eye(n, dtype=bool))
-            for index in pairs:
-                index.setflags(write=False)
-            _ALL_PAIRS_CACHE[n] = pairs
-        return pairs
-    box = domain.size if domain.geometry == TORUS else None
-    half = cKDTree(points, boxsize=box).query_pairs(radius * (1 + 1e-9),
-                                                    output_type="ndarray")
-    i = np.concatenate([half[:, 0], half[:, 1]])
-    j = np.concatenate([half[:, 1], half[:, 0]])
-    order = np.lexsort((j, i))
-    return i[order], j[order]
 
 
 def _drift(points: np.ndarray, domain: Domain, potentials: PotentialSpec,
@@ -218,7 +189,7 @@ def _drift(points: np.ndarray, domain: Domain, potentials: PotentialSpec,
     n, d = points.shape
     if n < 2 or not potentials.has_pair:
         return drift, 0
-    slots = _canonical_slot_order(points)
+    slots = np.lexsort(points.T[::-1])  # canonical (lexicographic) rank
     canon = points[slots]
     i, j = _close_pairs(canon, domain, radius)
     diff = domain.displacement(canon[i], canon[j])
@@ -233,6 +204,11 @@ def _drift(points: np.ndarray, domain: Domain, potentials: PotentialSpec,
     return drift, capped
 
 
+def _check_overlap(state: LabeledState, pot: PotentialSpec) -> None:
+    if pot.has_hard_core and _min_gap(state.points, state.domain) < pot.hard_core_sigma:
+        raise Overlap("hard-core particles overlap in the input state")
+
+
 def compute_drift(state: LabeledState, potentials: PotentialSpec,
                   cell_size: float | None = None) -> np.ndarray:
     """Per-particle drift -1/2 grad Phi - 1/2 sum_j grad Psi, cutoff at r_cut.
@@ -245,9 +221,7 @@ def compute_drift(state: LabeledState, potentials: PotentialSpec,
     """
     if cell_size is not None and potentials.has_pair and cell_size < potentials.r_cut:
         raise ConfigError("cell_size must be >= r_cut")
-    if potentials.has_hard_core and len(state) > 1:
-        if state.configuration().min_pair_distance() < potentials.hard_core_sigma:
-            raise Overlap("hard-core particles overlap on input")
+    _check_overlap(state, potentials)
     drift, capped = _drift(state.points, state.domain, potentials, cell_size)
     if capped:
         warnings.warn(f"{capped} pair forces capped at the short-range floor")
@@ -276,7 +250,7 @@ def _apply_boundary(points: np.ndarray, domain: Domain) -> np.ndarray:
 def _reflect_hard_core(points: np.ndarray, domain: Domain, sigma: float):
     out = points.copy()
     # the first offending pair in (i, j) order always has i < j
-    i, j = _close_pairs(out, domain, None)
+    i, j = _all_pairs(out.shape[0])
     for _ in range(64):
         diff = domain.displacement(out[i], out[j])
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
@@ -285,7 +259,7 @@ def _reflect_hard_core(points: np.ndarray, domain: Domain, sigma: float):
             return out
         k = bad[0]
         r = dist[k]
-        unit = diff[k] / r if r > 0 else np.eye(out.shape[1])[0]
+        unit = diff[k] / r if r > 0 else np.pad([1.0], (0, out.shape[1] - 1))
         push = 0.5 * (sigma - r)
         a, b = out[i[k]] + push * unit, out[j[k]] - push * unit
         if np.array_equal(a, out[i[k]]) and np.array_equal(b, out[j[k]]):
@@ -331,14 +305,13 @@ class _Stepper:
             proposal = _apply_boundary(points + incr, self.domain)
             if not self.potentials.has_hard_core or n < 2:
                 return proposal, unwrapped + incr
-            gap = Configuration(proposal, self.domain, validate=False).min_pair_distance()
+            gap = _min_gap(proposal, self.domain)
             if gap >= sigma:
                 self.min_gap = min(self.min_gap, gap)
                 return proposal, unwrapped + incr
             if params.hard_core_mode == "reflect":
                 resolved = _reflect_hard_core(proposal, self.domain, sigma)
-                gap = Configuration(resolved, self.domain, validate=False).min_pair_distance()
-                self.min_gap = min(self.min_gap, gap)
+                self.min_gap = min(self.min_gap, _min_gap(resolved, self.domain))
                 return resolved, unwrapped + incr + (resolved - proposal)
         if depth >= 8:
             raise StepRejected("hard-core rejection exhausted retries and halvings")
@@ -377,9 +350,7 @@ def simulate(initial: LabeledState, potentials: PotentialSpec,
     """
     domain = initial.domain
     stepper = _Stepper(domain, potentials, params, len(initial), stream_labels)
-    if potentials.has_hard_core and len(initial) > 1:
-        if initial.configuration().min_pair_distance() < potentials.hard_core_sigma:
-            raise Overlap("hard-core particles overlap in the initial state")
+    _check_overlap(initial, potentials)
 
     n_steps = int(round(params.t_end / params.dt))
     points = initial.points.copy()

@@ -278,7 +278,7 @@ def build_spec(cls, values, where: str, decode=float, **given):
               if f.type in parse and f.name in values and f.name not in given}
     try:
         return cls(**kwargs, **given)
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from None
 
 

@@ -22,7 +22,7 @@ from .analysis import (
     paired_z,
     separation_weight,
 )
-from .configuration import Configuration, Domain, KLabeledState, label
+from .configuration import FREE, Configuration, Domain, KLabeledState, _all_pairs, _min_gap, label
 from .cylinder import (
     Bump,
     Gaussian,
@@ -229,21 +229,18 @@ def _items(sec, key: str, parse=int) -> list:
 # ---------------------------------------------------------------------------
 
 def _path_functionals(positions: np.ndarray) -> dict[str, float]:
-    """Five symmetric functionals of the unlabeled path (T, N, d)."""
+    """Five symmetric functionals of the unlabeled path (T, N, d) in free space."""
     radii_sq = np.sum(positions**2, axis=2)
-    final = positions[-1]
-    diff = final[:, None, :] - final[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    iu = np.triu_indices(positions.shape[1], k=1)
-    gauss = np.exp(-np.sum(
-        (positions[:, :, None, :] - positions[:, None, :, :]) ** 2, axis=-1
-    ))
+    _, n, d = positions.shape
+    i, j = _all_pairs(n)
+    upper = i < j
+    gauss = np.exp(-np.sum((positions[:, i[upper]] - positions[:, j[upper]]) ** 2, axis=-1))
     return {
         "sum_sq_final": float(radii_sq[-1].sum()),
-        "min_gap_final": float(dist[iu].min()) if iu[0].size else 0.0,
+        "min_gap_final": _min_gap(positions[-1], Domain(d, FREE)) if n > 1 else 0.0,
         "mean_sum_sq": float(radii_sq.sum(axis=1).mean()),
         "sup_radius": float(np.sqrt(radii_sq).max()),
-        "mean_gauss_pair": float(gauss[:, iu[0], iu[1]].mean()) if iu[0].size else 0.0,
+        "mean_gauss_pair": float(gauss.mean()) if n > 1 else 0.0,
     }
 
 
@@ -338,9 +335,10 @@ def _run_thm27(cfg, seed: int) -> list[PipelineRow]:
                          if "interacting_replicas" in sec else replicas)
         pot = PotentialSpec(psi="soft_core", psi_strength=psi_strength,
                             psi_range=_real(sec, "psi_range", 1.0), r_cut=3.0)
-        spec = GibbsSpec(pot, beta=1.0, activity=_real(sec, "activity", intensity),
-                         burn_in=sec.getint("burn_in", 20000),
-                         thin=sec.getint("thin", 50))
+        # the three chain keys thm27 reads, over its own burn-in and activity defaults
+        chain = {"burn_in": 20000, "activity": intensity}
+        chain.update({key: sec[key] for key in ("activity", "burn_in", "thin") if key in sec})
+        spec = build_spec(GibbsSpec, chain, "[pipeline]", potentials=pot)
         setups.append(("interacting", pot, make_gibbs_sampler(spec, dom, seed + 1),
                        n_interacting))
 

@@ -34,7 +34,50 @@ from ibmsim.pointprocess import (
     sample_dyson_sine,
     sample_poisson,
 )
+from ibmsim.pipelines import _path_functionals
 from ibmsim.potentials import PotentialSpec
+
+
+def same_bits(a, b):
+    """Equal values with equal sign bits (so +0.0 and -0.0 differ)."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def triu_separation_counts(config, edges):
+    """Ordered-pair counts per separation bin from the upper-triangle pairs,
+    the form pair_correlation_separation had before it took the pair list."""
+    i, j = np.triu_indices(len(config), k=1)
+    sep = config.domain.distance(config.points[i], config.points[j])
+    return 2.0 * np.histogram(sep, bins=edges)[0]
+
+
+def dense_path_functionals(positions):
+    """_path_functionals on a (T, N, N) array and an N x N distance matrix,
+    the form it had before it took the pair list."""
+    radii_sq = np.sum(positions**2, axis=2)
+    final = positions[-1]
+    diff = final[:, None, :] - final[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    iu = np.triu_indices(positions.shape[1], k=1)
+    gauss = np.exp(-np.sum(
+        (positions[:, :, None, :] - positions[:, None, :, :]) ** 2, axis=-1
+    ))
+    return {
+        "sum_sq_final": float(radii_sq[-1].sum()),
+        "min_gap_final": float(dist[iu].min()) if iu[0].size else 0.0,
+        "mean_sum_sq": float(radii_sq.sum(axis=1).mean()),
+        "sup_radius": float(np.sqrt(radii_sq).max()),
+        "mean_gauss_pair": float(gauss[:, iu[0], iu[1]].mean()) if iu[0].size else 0.0,
+    }
+
+
+def seeded_points(rng, shape):
+    """Normal points; from three points on, two coincide and one has signed zeros."""
+    pts = rng.normal(size=shape)
+    if shape[-2] > 2:
+        pts[..., 1, :] = pts[..., 0, :]
+        pts[..., 2, :] *= -0.0
+    return pts
 
 
 class TestEstimateRho:
@@ -129,6 +172,19 @@ class TestPairCorrelationSeparation:
                                      len(edges) - 2)] += 1
         assert np.array_equal(counts, expected)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_counts_equal_upper_triangle_form(self, d):
+        rng = np.random.default_rng(70 + d)
+        dom = Domain(d, "ball", 3.0)
+        edges = np.linspace(0.0, 6.0, 13)
+        for n in range(10):
+            for _ in range(20):
+                pts = seeded_points(rng, (n, d))
+                scale = 3.0 / max(1.0, float(np.sqrt(np.sum(pts**2, axis=1)).max(initial=0.0)))
+                config = Configuration(pts * scale, dom)
+                counts = pair_correlation_separation([config], edges)[2]
+                assert same_bits(counts, triu_separation_counts(config, edges))
+
     def test_torus_rejected(self):
         samples = [sample_poisson(Domain(1, "torus", 10.0), 2.0, s) for s in range(3)]
         with pytest.raises(ValueError):
@@ -143,6 +199,24 @@ class TestPairCorrelationSeparation:
         kept = counts >= 200
         assert kept.sum() >= 8
         assert np.all(np.abs(values[kept] / lam**2 - 1.0) < 0.1)
+
+
+class TestPathFunctionals:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equal_dense_form(self, d):
+        rng = np.random.default_rng(90 + d)
+        for n in range(10):
+            for steps in range(1, 12):
+                positions = seeded_points(rng, (steps, n, d))
+                if n == 0:  # an empty path has no sup_radius in either form
+                    for form in (_path_functionals, dense_path_functionals):
+                        with pytest.raises(ValueError):
+                            form(positions)
+                    continue
+                got, want = _path_functionals(positions), dense_path_functionals(positions)
+                assert list(got) == list(want)
+                for name in want:
+                    assert same_bits(got[name], want[name]), name
 
 
 class TestPairedZ:

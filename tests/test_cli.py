@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ibmsim import pipelines
 from ibmsim.cli import main
 from ibmsim.persistence import config_sha256, read_configuration, read_trajectory
 from ibmsim.pipelines import DEFAULT_CONFIGS
@@ -178,6 +179,10 @@ MALFORMED = [  # (command, config, section, key) with one value missing or not p
     ("check-forms", "[forms]\nidentity = iota\nsamples = few\n", "forms", "samples"),
     ("pipeline", SMALL_THM24.replace("dt = 2e-3", "dt = soon"), "pipeline", "dt"),
     ("pipeline", SMALL_THM24.replace("n_values = 3", "n_values = 3,x"), "pipeline", "n_values"),
+    ("pipeline --name thm27-environment", SMALL_THM27.replace("burn_in = 500", "burn_in = lots"),
+     "pipeline", "burn_in"),
+    ("pipeline --name thm27-environment", SMALL_THM27.replace("thin = 10", "thin = 1.5"),
+     "pipeline", "thin"),
 ]
 
 
@@ -192,10 +197,70 @@ class TestMalformedValues:
                  "simulate": ["--out", str(tmp_path / "o")],
                  "analyze": [*(kind or ["--kind", "rho1"]), "--out", str(tmp_path / "o")],
                  "check-forms": [],
-                 "pipeline": ["--name", "thm24-identity"]}[command]
+                 "pipeline": kind or ["--name", "thm24-identity"]}[command]
         assert main([command, "--config", str(path), *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"[{section}] {key}" in err
+
+
+class TestRejectedRequests:
+    """Requests the program cannot serve exit 2 with one `error:` line."""
+
+    @staticmethod
+    def run(tmp_path, capsys, text, *argv):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        code = main([*argv, "--config", str(path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["msd", "explosion"])
+    def test_trajectory_kinds_need_an_input(self, tmp_path, capsys, kind):
+        code, err = self.run(tmp_path, capsys, "[analysis]\ntag = 0\n", "analyze",
+                             "--kind", kind, "--out", str(tmp_path / "o.tsv"))
+        assert code == 2 and err.startswith("error: ") and "--in" in err
+
+    @pytest.mark.parametrize("sets, ks", [
+        ("1:0,1:2", "1,1"), ("0:2,1:3", "1,1"), ("0:1,1:2", "2,1"),
+    ], ids=["degenerate", "overlapping", "order-3"])
+    def test_campbell_sets_outside_the_check(self, tmp_path, capsys, sets, ks):
+        text = (CAMPBELL.replace("sets = 0:1,1:2", f"sets = {sets}")
+                .replace("ks = 1,1", f"ks = {ks}").replace("replicas = 400", "replicas = 4"))
+        code, err = self.run(tmp_path, capsys, text, "analyze", "--kind", "campbell",
+                             "--out", str(tmp_path / "o.tsv"))
+        assert code == 2 and err.startswith("error: [analysis] sets/ks")
+
+    @pytest.mark.parametrize("key, value", [("burn_in", "-1"), ("thin", "0")])
+    def test_thm27_gibbs_keys_out_of_range(self, tmp_path, capsys, key, value):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", SMALL_THM27, flags=re.M)
+        code, err = self.run(tmp_path, capsys, text, "pipeline", "--name", "thm27-environment")
+        assert code == 2 and err.startswith("error: bad [pipeline]") and key in err
+
+
+class TestThm27GibbsDefaults:
+    class Stop(Exception):
+        pass
+
+    def spec(self, monkeypatch, text):
+        seen = []
+
+        def capture(spec, domain, seed):
+            seen.append(spec)
+            raise self.Stop
+
+        monkeypatch.setattr(pipelines, "make_gibbs_sampler", capture)
+        with pytest.raises(self.Stop):
+            pipelines.run_pipeline("thm27-environment", config_text=text)
+        return seen[0]
+
+    def test_omitted_keys_take_the_pipeline_defaults(self, monkeypatch):
+        text = re.sub(r"^(burn_in|thin|activity) = .*\n", "",
+                      DEFAULT_CONFIGS["thm27-environment"], flags=re.M)
+        spec = self.spec(monkeypatch, text)
+        assert (spec.burn_in, spec.thin, spec.activity) == (20000, 50, 1.25)  # = intensity
+
+    def test_given_keys_are_read_and_no_others(self, monkeypatch):
+        spec = self.spec(monkeypatch, SMALL_THM27 + "activity = 0.5\nbeta = 2.0\n")
+        assert (spec.burn_in, spec.thin, spec.activity, spec.beta) == (500, 10, 0.5, 1.0)
 
 
 class TestAnalyze:

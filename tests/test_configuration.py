@@ -11,6 +11,7 @@ from ibmsim.configuration import (
     Domain,
     KLabeledState,
     LabeledState,
+    _min_gap,
     falling_factorial,
     iota,
     iota_inverse,
@@ -130,7 +131,8 @@ class TestConfiguration:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_min_pair_distance_equals_all_pairs_exactly(self, d, geometry):
         # the 1-d sorted gaps and the d-dimensional KD-tree candidates must
-        # give the bits of the upper-triangle all-pairs minimum
+        # give the bits of the upper-triangle all-pairs minimum, through a
+        # Configuration and on the raw array alike
         def all_pairs_min(points, domain):
             diff = domain.displacement(points[:, None, :], points[None, :, :])
             dist = np.sqrt(np.sum(diff * diff, axis=-1))
@@ -142,7 +144,7 @@ class TestConfiguration:
         # the ball's inscribed cube; the whole box in one dimension
         scale = 1.0 / math.sqrt(d) if geometry == "ball" else 1.0
 
-        def check(n, coincident=False):
+        def check(n, coincident=False, signed_zeros=False):
             pts = rng.uniform(low, 8.0, size=(n, d))
             if rng.random() < 0.5:
                 # crowd the ends, where the torus wrap-around gap decides
@@ -151,14 +153,20 @@ class TestConfiguration:
                 pts[:k] = np.where(rng.random((k, d)) < 0.5, low + offset, 8.0 - offset)
             if coincident:
                 pts[-1] = pts[0]
-            c = Configuration(pts * scale, dom)
-            assert c.min_pair_distance() == all_pairs_min(c.points, dom)
+            if signed_zeros:  # +0.0 and -0.0 coincide, in a random order
+                pts[[0, 1]] = 0.0
+                pts[int(rng.integers(2)), 0] = -0.0
+            raw = pts * scale
+            want = all_pairs_min(raw, dom)
+            for got in (Configuration(raw, dom).min_pair_distance(), _min_gap(raw, dom)):
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
         for _ in range(2000):
             check(int(rng.integers(2, 12)))
         for n in [2, 7, 50, 300] * 10:
             check(n)
             check(n, coincident=True)
+            check(n, signed_zeros=True)
 
     def test_same_points_is_order_free(self):
         a = free1d([2.0, -1.0, 0.5])

@@ -86,6 +86,20 @@ def ref_pair_gradients(phi, pts):
     return grad
 
 
+def dense_pair_gradients(phi, pts):
+    """PairStatistic.grads as an N x N x d array with a column loop, the form
+    it had before it took the pair list."""
+    n = pts.shape[0]
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    g = np.zeros((n, n, phi.d))
+    g[i, j] = phi.gradients(pts[i] - pts[j])
+    term = 0.5 * (g - g.transpose(1, 0, 2))
+    grad = np.zeros_like(pts)
+    for col in range(n):
+        grad += term[:, col]
+    return grad
+
+
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -166,6 +180,22 @@ class TestStatisticsKeepTheirBits:
                 pts = points(rng, int(rng.integers(1, 7)), d)
                 assert same_bits(f.value(empty, pts), ref_pair_value(phi, pts))
                 assert same_bits(f.grads(empty, pts)[1], ref_pair_gradients(phi, pts))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_pair_gradients_equal_dense_form(self, d):
+        rng = np.random.default_rng(50 + d)
+        empty = np.zeros((0, d))
+        for n in range(10):
+            for _ in range(6):
+                for phi in blocks(rng, d).values():
+                    pts = points(rng, n, d)
+                    if n > 2:  # coincident rows: zero separations, signed zeros
+                        pts[1] = pts[0]
+                        pts[2] = -0.0 * pts[2]
+                    got = PairStatistic(phi).grads(empty, pts)[1]
+                    want = dense_pair_gradients(phi, pts)
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_statistics_bitwise_invariant_under_row_permutation(self, d):

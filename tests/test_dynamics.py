@@ -407,6 +407,22 @@ class TestSimulate:
         for i in range(traj.n_snapshots):
             assert traj.configuration(i).min_pair_distance() >= 0.5
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_min_pair_gap_is_all_pairs_minimum_over_snapshots(self, d):
+        # at stride 1 and without halvings, the accepted updates are the
+        # snapshots after the first
+        dom = Domain(d, "torus", 4.0)
+        pot = PotentialSpec(psi="hard_core", hard_core_diameter=0.5)
+        pts = np.ones((6, d))
+        pts[:, 0] = np.arange(6) * 0.6 + 0.2
+        params = SimParams(dt=1e-3, t_end=0.2, seed=17, stride=1, hard_core_mode="reject")
+        traj = simulate(LabeledState(pts, dom), pot, params)
+        assert traj.diagnostics["step_halvings"] == 0
+        assert traj.diagnostics["noise_redraws"] > 0  # the proposal check rejected some
+        i, j = np.triu_indices(6, k=1)
+        dist = dom.distance(traj.positions[1:, i], traj.positions[1:, j])
+        assert traj.diagnostics["min_pair_gap"] == float(dist.min())
+
     def test_hard_core_reflect_mode(self):
         dom = Domain(1, "torus", 12.0)
         pot = PotentialSpec(psi="hard_core", hard_core_diameter=0.5)
