@@ -169,20 +169,21 @@ def _min_gap(points: np.ndarray, domain: Domain) -> float:
     if points.shape[0] < 2:
         return math.inf
     if domain.dimension == 1:
-        flat = np.sort(points[:, 0])
-        # + 0.0: a sort may put 0.0 before -0.0, and the all-pairs minimum is +0.0
-        gap = float((flat[1:] - flat[:-1]).min()) + 0.0
-        if domain.geometry == TORUS:
-            gap = min(gap, domain.size - float(flat[-1] - flat[0]))
-        return gap
+        return _sorted_gap(np.sort(points[:, 0]), domain)
     box = domain.size if domain.geometry == TORUS else None
     wrapped = domain.wrap(points)
     nearest = float(cKDTree(wrapped, boxsize=box).query(wrapped, k=2)[0][:, 1].min())
-    if nearest == 0.0:
-        return 0.0  # coincident points
-    i, j = _close_pairs(wrapped, domain, nearest)
-    diff = domain.displacement(points[i], points[j])
-    return float(np.sqrt(np.sum(diff * diff, axis=-1)).min())
+    i, j = _close_pairs(wrapped, domain, nearest)  # coincident pairs too, at radius 0
+    return float(domain.distance(points[i], points[j]).min())
+
+
+def _sorted_gap(flat: np.ndarray, domain: Domain) -> float:
+    """_min_gap of n >= 2 sorted 1-d coordinates, the torus wrap-around gap included."""
+    # + 0.0: a sort may put 0.0 before -0.0, and the all-pairs minimum is +0.0
+    gap = float((flat[1:] - flat[:-1]).min()) + 0.0
+    if domain.geometry == TORUS:
+        gap = min(gap, domain.size - float(flat[-1] - flat[0]))
+    return gap
 
 
 class Configuration:
@@ -250,8 +251,9 @@ class Configuration:
         return bool(np.max(np.abs(a - b)) <= tol)
 
     def min_pair_distance(self) -> float:
-        pts = self.canonical() if self.domain.dimension == 1 else self.points
-        return _min_gap(pts, self.domain)
+        if self.domain.dimension == 1 and len(self) > 1:  # the cached sorted copy
+            return _sorted_gap(self.canonical()[:, 0], self.domain)
+        return _min_gap(self.points, self.domain)
 
     def is_single(self, eps: float | None = None) -> bool:
         """True when no two points coincide within eps (default: domain tol)."""
