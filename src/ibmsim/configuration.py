@@ -147,15 +147,23 @@ def _all_pairs(n: int):
     return pairs
 
 
+def _tree(points: np.ndarray, domain: Domain) -> cKDTree:
+    """KD-tree of (n, d) points inside the domain, periodic on the torus."""
+    return cKDTree(points, boxsize=domain.size if domain.geometry == TORUS else None)
+
+
+def _tree_pairs(tree: cKDTree, radius: float) -> np.ndarray:
+    """(m, 2) pairs i < j within radius, padded so the tree's rounding never
+    drops a pair; callers apply their exact cutoff with Domain.displacement."""
+    return tree.query_pairs(radius * (1 + 1e-9), output_type="ndarray")
+
+
 def _close_pairs(points: np.ndarray, domain: Domain, radius: float | None):
     """Ordered pairs (i, j), i != j, sorted by i then j, within radius (all
-    pairs when None). The radius is padded so the tree's rounding never drops
-    a pair; callers apply their exact cutoff with Domain.displacement."""
+    pairs when None)."""
     if radius is None:
         return _all_pairs(points.shape[0])
-    box = domain.size if domain.geometry == TORUS else None
-    half = cKDTree(points, boxsize=box).query_pairs(radius * (1 + 1e-9),
-                                                    output_type="ndarray")
+    half = _tree_pairs(_tree(points, domain), radius)
     i, j = np.concatenate([half, half[:, ::-1]]).T
     order = np.lexsort((j, i))
     return i[order], j[order]
@@ -164,26 +172,35 @@ def _close_pairs(points: np.ndarray, domain: Domain, radius: float | None):
 def _min_gap(points: np.ndarray, domain: Domain) -> float:
     """Smallest pair distance of the (n, d) points (inf below two points), with
     the bits of the all-pairs minimum: in one dimension the smallest gap of the
-    sorted points (and the torus wrap-around gap), else the exact distances of
-    the pairs within the tree's nearest-neighbour distance."""
+    sorted points (and the torus wrap-around gap), else _tree_gap."""
     if points.shape[0] < 2:
         return math.inf
     if domain.dimension == 1:
         return _sorted_gap(np.sort(points[:, 0]), domain)
-    box = domain.size if domain.geometry == TORUS else None
+    return _tree_gap(points, domain)
+
+
+def _tree_gap(points: np.ndarray, domain: Domain) -> float:
+    """_min_gap from one tree of the wrapped points: the exact distances of the
+    raw points' pairs within the tree's nearest-neighbour distance."""
     wrapped = domain.wrap(points)
-    nearest = float(cKDTree(wrapped, boxsize=box).query(wrapped, k=2)[0][:, 1].min())
-    i, j = _close_pairs(wrapped, domain, nearest)  # coincident pairs too, at radius 0
+    tree = _tree(wrapped, domain)
+    nearest = float(tree.query(wrapped, k=2)[0][:, 1].min())
+    i, j = _tree_pairs(tree, nearest).T  # coincident pairs too, at radius 0
     return float(domain.distance(points[i], points[j]).min())
 
 
 def _sorted_gap(flat: np.ndarray, domain: Domain) -> float:
-    """_min_gap of n >= 2 sorted 1-d coordinates, the torus wrap-around gap included."""
+    """_min_gap of n >= 2 sorted 1-d coordinates, the torus wrap-around gap
+    included; unvalidated torus coordinates outside [0, size) take _tree_gap."""
     # + 0.0: a sort may put 0.0 before -0.0, and the all-pairs minimum is +0.0
     gap = float((flat[1:] - flat[:-1]).min()) + 0.0
-    if domain.geometry == TORUS:
-        gap = min(gap, domain.size - float(flat[-1] - flat[0]))
-    return gap
+    if domain.geometry != TORUS:
+        return gap
+    low, high = float(flat[0]), float(flat[-1])
+    if low < 0.0 or high >= domain.size:
+        return _tree_gap(flat[:, None], domain)
+    return min(gap, domain.size - (high - low))
 
 
 class Configuration:

@@ -57,8 +57,8 @@ def read_configuration(path) -> Configuration:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("# "):
         raise FormatError("missing configuration header", line=1)
-    fields = dict(item.split("=", 1) for item in lines[0][2:].split())
     try:
+        fields = dict(item.split("=", 1) for item in lines[0][2:].split())
         dom = Domain(int(fields["d"]), fields["geometry"], float(fields["size"]))
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad header: {exc}", line=1) from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import Configuration, KLabeledState, iota, translate
+from .configuration import Configuration, KLabeledState, _close_pairs, iota, translate
 from .dynamics import Trajectory
 from .errors import AmbiguousMatching, NoSuchPoint, NotSingle
 
@@ -25,7 +25,10 @@ class Track:
     times: np.ndarray
     positions: np.ndarray  # (len(times), d)
     start_index: int
-    starts_at_zero: bool
+
+    @property
+    def starts_at_zero(self) -> bool:
+        return self.start_index == 0
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -37,8 +40,10 @@ def default_matching_radius(d: int, dt: float, stride: int) -> float:
     return 4.0 * math.sqrt(d * dt * stride)
 
 
-def _match_frame(prev: np.ndarray, cur: np.ndarray, domain, radius: float):
-    """Greedy assignment of previous points to current points by distance.
+def _match_frame(prev: np.ndarray, cur: np.ndarray, domain, radius: float) -> np.ndarray:
+    """Greedy assignment of previous points to current points by distance: the
+    pairs within radius, shortest first (ties by index), while both are free.
+    Returns each current point's previous point, -1 where it has none.
 
     Raises AmbiguousMatching when two matched pairs could also be assigned
     crosswise within the matching radius: two complete assignments are then
@@ -46,29 +51,27 @@ def _match_frame(prev: np.ndarray, cur: np.ndarray, domain, radius: float):
     swapping positions within one stride is the archetype).
     """
     n_prev, n_cur = prev.shape[0], cur.shape[0]
-    if n_prev == 0 or n_cur == 0:
-        return {}
-    diff = domain.displacement(prev[:, None, :], cur[None, :, :])
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    assignment: dict[int, int] = {}
-    cost = dist.copy()
-    while len(assignment) < min(n_prev, n_cur):
-        i, j = np.unravel_index(np.argmin(cost), cost.shape)
-        if not cost[i, j] <= radius:
-            break
-        assignment[int(i)] = int(j)
-        cost[i, :] = np.inf
-        cost[:, j] = np.inf
-    items = list(assignment.items())
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            i1, j1 = items[a]
-            i2, j2 = items[b]
-            if dist[i1, j2] <= radius and dist[i2, j1] <= radius:
-                raise AmbiguousMatching(
-                    f"assignments within tolerance at pairs {(i1, j1)} / {(i2, j2)}"
-                )
-    return assignment
+    i, j = _close_pairs(domain.wrap(np.concatenate([prev, cur])), domain, radius)
+    keep = (i < n_prev) & (j >= n_prev)
+    i, j = i[keep], j[keep] - n_prev
+    dist = domain.distance(prev[i], cur[j])
+    within = dist <= radius
+    i, j, dist = i[within], j[within], dist[within]
+    order = np.lexsort((j, i, dist))  # the order of a dense argmin's picks
+    match, owner = [-1] * n_prev, [-1] * n_cur
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if match[a] < 0 and owner[b] < 0:
+            match[a], owner[b] = b, a
+    match, owner = np.array(match, dtype=int), np.array(owner, dtype=int)
+    # a candidate (i1, j2) off the assignment whose crosswise partner (i2, j1) is one too
+    i2, j1 = owner[j], match[i]
+    cross = (j1 >= 0) & (i2 >= 0) & (i2 != i)
+    hits = np.flatnonzero(cross)[np.isin(i2[cross] * n_cur + j1[cross], i * n_cur + j)]
+    if hits.size:
+        k = hits[0]
+        raise AmbiguousMatching(f"assignments within tolerance at pairs "
+                                f"{(int(i[k]), int(j1[k]))} / {(int(i2[k]), int(j[k]))}")
+    return owner
 
 
 def split_paths(configs, times=None, matching_radius: float | None = None) -> list[Track]:
@@ -82,9 +85,9 @@ def split_paths(configs, times=None, matching_radius: float | None = None) -> li
     if not configs:
         return []
     domain = configs[0].domain
-    if times is None:
-        times = np.arange(len(configs), dtype=float)
-    times = np.asarray(times, dtype=float)
+    times = np.arange(len(configs), dtype=float) if times is None else np.asarray(times, float)
+    if times.shape != (len(configs),):
+        raise ValueError(f"times of shape {times.shape} for {len(configs)} snapshots")
     if matching_radius is None:
         dt = float(times[1] - times[0]) if times.size > 1 else 1.0
         matching_radius = default_matching_radius(domain.dimension, dt, 1)
@@ -93,53 +96,23 @@ def split_paths(configs, times=None, matching_radius: float | None = None) -> li
         if not c.is_single():
             raise NotSingle(f"snapshot {i} is not a single configuration")
 
-    open_tracks: dict[int, list] = {}
-    finished: list[Track] = []
-    first = configs[0].points
-    for idx in range(first.shape[0]):
-        open_tracks[idx] = [0, [first[idx]]]
-    next_id = first.shape[0]
-    prev_points = first
-    prev_owner = {i: i for i in range(first.shape[0])}
-
-    for t in range(1, len(configs)):
-        cur = configs[t].points
-        assignment = _match_frame(prev_points, cur, domain, matching_radius)
-        new_owner: dict[int, int] = {}
-        matched_cur = set()
-        for i_prev, j_cur in assignment.items():
-            track_id = prev_owner[i_prev]
-            open_tracks[track_id][1].append(cur[j_cur])
-            new_owner[j_cur] = track_id
-            matched_cur.add(j_cur)
-        # close tracks whose particle vanished
-        for i_prev, track_id in prev_owner.items():
-            if i_prev not in assignment:
-                start, pts = open_tracks.pop(track_id)
-                finished.append(_make_track(times, start, pts))
-        # open tracks for unmatched new points
-        for j in range(cur.shape[0]):
-            if j not in matched_cur:
-                open_tracks[next_id] = [t, [cur[j]]]
-                new_owner[j] = next_id
-                next_id += 1
-        prev_points = cur
-        prev_owner = new_owner
-
-    for start, pts in open_tracks.values():
-        finished.append(_make_track(times, start, pts))
-    finished.sort(key=lambda tr: (tr.start_index, tuple(tr.positions[0])))
-    return finished
-
-
-def _make_track(times, start, pts) -> Track:
-    pts = np.asarray(pts)
-    return Track(
-        times=times[start : start + pts.shape[0]].copy(),
-        positions=pts,
-        start_index=start,
-        starts_at_zero=(start == 0),
-    )
+    # a point's track id is its predecessor's, or else its own row in the stacked path
+    ids, row = [np.arange(len(configs[0]))], len(configs[0])
+    for prev, cur in zip(configs, configs[1:]):
+        owner = _match_frame(prev.points, cur.points, domain, matching_radius)
+        inherited = np.append(ids[-1], -1)[owner]  # owner -1 reads the appended -1
+        ids.append(np.where(owner < 0, row + np.arange(owner.size), inherited))
+        row += owner.size
+    ids = np.concatenate(ids)
+    points = np.concatenate([c.points for c in configs])
+    frames = np.repeat(np.arange(len(configs)), [len(c) for c in configs])
+    order = np.argsort(ids, kind="stable")  # each track's rows in time order
+    tracks = []
+    for rows in np.split(order, np.flatnonzero(np.diff(ids[order])) + 1) if order.size else []:
+        start = int(frames[rows[0]])
+        tracks.append(Track(times[start : start + rows.size].copy(), points[rows], start))
+    tracks.sort(key=lambda tr: (tr.start_index, tuple(tr.positions[0])))
+    return tracks
 
 
 def _locate_tag(traj: Trajectory, x) -> int:
@@ -163,7 +136,6 @@ def tag_particle(traj: Trajectory, x) -> Track:
         times=traj.times.copy(),
         positions=traj.positions[:, idx, :].copy(),
         start_index=0,
-        starts_at_zero=True,
     )
 
 

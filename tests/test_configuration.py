@@ -144,7 +144,7 @@ class TestConfiguration:
         # the ball's inscribed cube; the whole box in one dimension
         scale = 1.0 / math.sqrt(d) if geometry == "ball" else 1.0
 
-        def check(n, coincident=False, signed_zeros=False):
+        def check(n, coincident=False, signed_zeros=False, outside=False):
             pts = rng.uniform(low, 8.0, size=(n, d))
             if rng.random() < 0.5:
                 # crowd the ends, where the torus wrap-around gap decides
@@ -156,9 +156,12 @@ class TestConfiguration:
             if signed_zeros:  # +0.0 and -0.0 coincide, in a random order
                 pts[[0, 1]] = 0.0
                 pts[int(rng.integers(2)), 0] = -0.0
+            if outside:  # unvalidated torus input: whole periods off the box
+                pts += 8.0 * rng.integers(-2, 3, size=(n, d))
             raw = pts * scale
             want = all_pairs_min(raw, dom)
-            for got in (Configuration(raw, dom).min_pair_distance(), _min_gap(raw, dom)):
+            config = Configuration(raw, dom, validate=not outside)
+            for got in (config.min_pair_distance(), _min_gap(raw, dom)):
                 assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
         for _ in range(2000):
@@ -167,6 +170,12 @@ class TestConfiguration:
             check(n)
             check(n, coincident=True)
             check(n, signed_zeros=True)
+        if geometry == "torus":
+            for _ in range(500):
+                check(int(rng.integers(2, 12)), outside=True)
+            for n in [2, 7, 50, 300] * 10:
+                check(n, outside=True)
+                check(n, coincident=True, outside=True)
 
     def test_same_points_is_order_free(self):
         a = free1d([2.0, -1.0, 0.5])

@@ -148,6 +148,13 @@ class TestConfigurationFormat:
         with pytest.raises(FormatError):
             read_configuration(path)
 
+    def test_header_item_without_value(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# d=1 geometry\n1.0\n")
+        with pytest.raises(FormatError) as err:
+            read_configuration(path)
+        assert err.value.line == 1
+
     def test_bad_coordinate_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# d=1 geometry=torus size=5\n1.0\nxyz\n")
