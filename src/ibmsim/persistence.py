@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .configuration import BALL, TORUS, Configuration, Domain
 from .dynamics import SimParams, Trajectory
-from .errors import ConfigError, FormatError, VersionMismatch
+from .errors import ConfigError, DomainError, FormatError, VersionMismatch
 from .potentials import PotentialSpec
 
 TRAJECTORY_FORMAT_VERSION = 1
@@ -60,7 +60,7 @@ def read_configuration(path) -> Configuration:
     try:
         fields = dict(item.split("=", 1) for item in lines[0][2:].split())
         dom = Domain(int(fields["d"]), fields["geometry"], float(fields["size"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, DomainError) as exc:
         raise FormatError(f"bad header: {exc}", line=1) from None
     pts = []
     for i, line in enumerate(lines[1:], start=2):

@@ -148,9 +148,11 @@ class TestConfigurationFormat:
         with pytest.raises(FormatError):
             read_configuration(path)
 
-    def test_header_item_without_value(self, tmp_path):
+    @pytest.mark.parametrize("header", ["# d=1 geometry", "# d=1 geometry=cube size=5",
+                                        "# d=1 geometry=torus size=-5"])
+    def test_bad_header_item_is_format_error(self, tmp_path, header):
         path = tmp_path / "bad.txt"
-        path.write_text("# d=1 geometry\n1.0\n")
+        path.write_text(header + "\n1.0\n")
         with pytest.raises(FormatError) as err:
             read_configuration(path)
         assert err.value.line == 1
