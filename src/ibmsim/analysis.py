@@ -147,6 +147,11 @@ def pair_correlation_separation(samples, edges):
     return centers, (counts / geom).mean(axis=0), counts.sum(axis=0)
 
 
+def _floored_z(diff: float, se: float, lhs: float, rhs: float) -> float:
+    """diff / se, with the se floored at 1e-9 of the scale of the means lhs, rhs."""
+    return diff / max(se, _SE_FLOOR_REL * (1.0 + abs(lhs) + abs(rhs)))
+
+
 def paired_z(lhs, rhs):
     """(z, se) of the mean paired difference lhs - rhs. The se is floored at
     1e-9 of the scale of the means, so identical routes (float noise only)
@@ -154,8 +159,7 @@ def paired_z(lhs, rhs):
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     diff = lhs - rhs
     se = diff.std(ddof=1) / math.sqrt(diff.size)
-    scale = _SE_FLOOR_REL * (1.0 + abs(lhs.mean()) + abs(rhs.mean()))
-    return float(diff.mean() / max(se, scale)), float(se)
+    return float(_floored_z(diff.mean(), se, lhs.mean(), rhs.mean())), float(se)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +177,8 @@ class CampbellReport:
 
     @property
     def z(self) -> float:
-        se = math.hypot(self.lhs_se, self.rhs_se)
-        scale = _SE_FLOOR_REL * (1.0 + abs(self.lhs) + abs(self.rhs))
-        return (self.lhs - self.rhs) / max(se, scale)
+        return _floored_z(self.lhs - self.rhs, math.hypot(self.lhs_se, self.rhs_se),
+                          self.lhs, self.rhs)
 
 
 def _factorial_moment_products(samples, sets, ks) -> np.ndarray:
@@ -187,7 +190,6 @@ def _factorial_moment_products(samples, sets, ks) -> np.ndarray:
     return out
 
 
-_CAMPBELL_BINS = 4      # bins per test set for the correlation-function route
 _CAMPBELL_BATCHES = 20
 
 
@@ -200,12 +202,14 @@ def _batch_se(values: np.ndarray) -> float:
 
 
 def campbell_check(samples, sets, ks) -> CampbellReport:
-    """Two-route check of the defining factorial-moment identity.
+    """Split-half check of the defining factorial-moment (Campbell) identity
+    E[prod_i N(A_i)^[k_i]] = integral of rho_k over A_1^k_1 x ... x A_n^k_n.
 
-    Route one estimates the correlation function on bins tiling the test sets
-    and integrates it; route two takes the empirical mean of the product of
-    falling-factorial counts. The two routes use disjoint halves of the
-    samples, so the z-score is a genuine two-sample comparison.
+    `lhs` and `rhs` are the means of the falling-factorial count product over
+    the first and the second half of the samples, each with its batch-means
+    se, so the z-score compares two disjoint halves. Integrating a binned rho
+    estimate over bins that tile the test sets gives, term for term, the same
+    first-half mean, so no correlation function is estimated here.
     """
     sets = tuple(tuple(map(float, s)) for s in sets)
     ks = tuple(int(k) for k in ks)
@@ -222,45 +226,10 @@ def campbell_check(samples, sets, ks) -> CampbellReport:
                 raise ValueError("test sets must be disjoint")
 
     half = len(samples) // 2
-    est_samples, emp_samples = samples[:half], samples[half:]
-
-    order = sum(ks)
-    active = [(s, k) for s, k in zip(sets, ks) if k > 0]
-    if order == 1:
-        (lo, hi), _ = active[0]
-        edges = np.linspace(lo, hi, _CAMPBELL_BINS + 1)
-        est = estimate_rho(est_samples, 1, edges, n_boot=2)  # its stderr is not read
-        widths = np.diff(edges)
-        lhs = float(est.values @ widths)
-        per = np.array(
-            [np.count_nonzero((p >= lo) & (p < hi)) for p in _positions_1d(est_samples)],
-            dtype=float,
-        )
-        lhs_se = _batch_se(per)
-    else:
-        if len(active) == 1:
-            (lo, hi), _ = active[0]
-            edges = np.linspace(lo, hi, _CAMPBELL_BINS + 1)
-            sel_a = sel_b = np.arange(_CAMPBELL_BINS)
-        else:
-            (lo_a, hi_a), _ = active[0]
-            (lo_b, hi_b), _ = active[1]
-            edges = np.concatenate([np.linspace(lo_a, hi_a, _CAMPBELL_BINS + 1),
-                                    np.linspace(lo_b, hi_b, _CAMPBELL_BINS + 1)])
-            edges = np.unique(edges)
-            sel_a = np.nonzero((edges[:-1] >= lo_a) & (edges[1:] <= hi_a))[0]
-            sel_b = np.nonzero((edges[:-1] >= lo_b) & (edges[1:] <= hi_b))[0]
-        est = estimate_rho(est_samples, 2, edges, n_boot=2, min_expected=0.0)
-        widths = np.diff(edges)
-        area = widths[sel_a][:, None] * widths[sel_b][None, :]
-        lhs = float(np.sum(est.values[np.ix_(sel_a, sel_b)] * area))
-        per = _factorial_moment_products(est_samples, sets, ks)
-        lhs_se = _batch_se(per)
-
-    emp = _factorial_moment_products(emp_samples, sets, ks)
-    rhs = float(emp.mean())
-    rhs_se = _batch_se(emp)
-    return CampbellReport(sets, ks, lhs, lhs_se, rhs, rhs_se)
+    first = _factorial_moment_products(samples[:half], sets, ks)
+    second = _factorial_moment_products(samples[half:], sets, ks)
+    return CampbellReport(sets, ks, float(first.mean()), _batch_se(first),
+                          float(second.mean()), _batch_se(second))
 
 
 # ---------------------------------------------------------------------------

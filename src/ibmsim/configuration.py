@@ -369,8 +369,6 @@ def _label_order(config: Configuration, rule: str) -> np.ndarray:
     pts = config.points
     if rule == "stored-order":
         return np.arange(len(config))
-    if rule == "lexicographic":
-        return np.lexsort(pts.T[::-1])
     if rule == "distance-from-origin":
         dist = config.domain.distance(pts, np.zeros(config.domain.dimension))
         return np.lexsort(tuple(pts.T[::-1]) + (dist,))
@@ -384,6 +382,8 @@ def label(config: Configuration, rule: str = "lexicographic") -> LabeledState:
     """
     if not config.is_single():
         raise NotSingle("cannot label a configuration with coincident points")
+    if rule == "lexicographic":  # a single configuration has no ties to break
+        return LabeledState._of(config.canonical(), config.domain)
     order = _label_order(config, rule)
     return LabeledState._of(config.points[order], config.domain)
 

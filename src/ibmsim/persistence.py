@@ -23,18 +23,18 @@ TRAJECTORY_FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# float codecs: 17 significant digits or raw IEEE-754 hex, both lossless
+# float codecs: 17 significant digits or raw IEEE-754 hex, both lossless;
+# each is (encode, decode) on Python floats
 # ---------------------------------------------------------------------------
 
-def _encode_float(x: float, mode: str) -> str:
-    return float(x).hex() if mode == "hex" else format(float(x), ".17g")
+_FLOAT_CODECS = {"decimal": ("%.17g".__mod__, float), "hex": (float.hex, float.fromhex)}
 
 
-def _decode_float(s: str, mode: str, line: int) -> float:
+def _decoded(decode, text: str, line: int) -> float:
     try:
-        return float.fromhex(s) if mode == "hex" else float(s)
+        return decode(text)
     except ValueError:
-        raise FormatError(f"bad coordinate {s!r}", line=line) from None
+        raise FormatError(f"bad coordinate {text!r}", line=line) from None
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +46,11 @@ def write_configuration(config: Configuration, path) -> None:
     dom = config.domain
     if dom.geometry not in (TORUS, BALL):
         raise FormatError("only torus and ball domains are serialized")
+    enc = _FLOAT_CODECS["decimal"][0]
     with open(path, "w") as fh:
-        fh.write(f"# d={dom.dimension} geometry={dom.geometry} size={_encode_float(dom.size, 'decimal')}\n")
-        for p in config.points:
-            fh.write(" ".join(_encode_float(v, "decimal") for v in p) + "\n")
+        fh.write(f"# d={dom.dimension} geometry={dom.geometry} size={enc(dom.size)}\n")
+        for row in config.points.tolist():
+            fh.write(" ".join(map(enc, row)) + "\n")
 
 
 def read_configuration(path) -> Configuration:
@@ -66,7 +67,7 @@ def read_configuration(path) -> Configuration:
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        vals = [_decode_float(v, "decimal", i) for v in line.split()]
+        vals = [_decoded(float, v, i) for v in line.split()]
         if len(vals) != dom.dimension:
             raise FormatError(f"expected {dom.dimension} coordinates", line=i)
         pts.append(vals)
@@ -80,8 +81,9 @@ def read_configuration(path) -> Configuration:
 def write_trajectory(traj: Trajectory, path, coord_format: str = "decimal") -> None:
     """Header of key=value lines, then one block per snapshot: a time line,
     N coordinate lines and a running-max line."""
-    if coord_format not in ("decimal", "hex"):
+    if coord_format not in _FLOAT_CODECS:
         raise ConfigError("coord_format must be 'decimal' or 'hex'")
+    enc = _FLOAT_CODECS[coord_format][0]
     dom = traj.domain
     buf = io.StringIO()
     buf.write("# ibm-sim trajectory\n")
@@ -89,26 +91,22 @@ def write_trajectory(traj: Trajectory, path, coord_format: str = "decimal") -> N
     buf.write(f"coord_format={coord_format}\n")
     buf.write("frame=lab\n")
     buf.write(f"d={dom.dimension}\ngeometry={dom.geometry}\n")
-    buf.write(f"size={_encode_float(dom.size, coord_format)}\n")
+    buf.write(f"size={enc(dom.size)}\n")
     buf.write(f"n_particles={traj.n_particles}\nn_tagged={traj.n_tagged}\n")
     for f in fields(SimParams):
         value = getattr(traj.params, f.name)
         if f.type == "float":
-            value = _encode_float(value, coord_format)
+            value = enc(float(value))
         buf.write(f"{f.name}={value}\n")
     for key, value in sorted(traj.provenance.items()):
         buf.write(f"prov.{key}={value}\n")
     buf.write("\n")
-    for i in range(traj.n_snapshots):
-        buf.write(f"time={_encode_float(traj.times[i], coord_format)}\n")
-        for row in traj.positions[i]:
-            buf.write(" ".join(_encode_float(v, coord_format) for v in row) + "\n")
-        if traj.running_max is not None:
-            buf.write(
-                "runmax "
-                + " ".join(_encode_float(v, coord_format) for v in traj.running_max[i])
-                + "\n"
-            )
+    runmax = None if traj.running_max is None else traj.running_max.tolist()
+    for i, (t, snap) in enumerate(zip(traj.times.tolist(), traj.positions.tolist())):
+        buf.write(f"time={enc(t)}\n")
+        buf.write("".join(" ".join(map(enc, row)) + "\n" for row in snap))
+        if runmax is not None:
+            buf.write("runmax " + " ".join(map(enc, runmax[i])) + "\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 
@@ -142,7 +140,9 @@ def read_trajectory(path) -> Trajectory:
     if version != TRAJECTORY_FORMAT_VERSION:
         raise VersionMismatch(f"unknown trajectory format version {version}")
     mode = header.get("coord_format", "decimal")
-    number = float.fromhex if mode == "hex" else float
+    if mode not in _FLOAT_CODECS:
+        raise FormatError(f"unknown coord_format {mode!r}", line=2)
+    number = _FLOAT_CODECS[mode][1]
 
     def need(key, parse=str, default=None):
         text = header.get(key, default)
@@ -170,7 +170,7 @@ def read_trajectory(path) -> Trajectory:
             continue
         if not line.startswith("time="):
             raise FormatError("expected a time= line", line=i + 1)
-        times.append(_decode_float(line[5:], mode, i + 1))
+        times.append(_decoded(number, line[5:], i + 1))
         block = []
         for j in range(n):
             if i + 1 + j >= len(lines):
@@ -181,14 +181,14 @@ def read_trajectory(path) -> Trajectory:
                     f"expected {dom.dimension} coordinates for particle {j}",
                     line=i + 2 + j,
                 )
-            block.append([_decode_float(v, mode, i + 2 + j) for v in row])
+            block.append([_decoded(number, v, i + 2 + j) for v in row])
         snaps.append(block)
         i += 1 + n
         if i < len(lines) and lines[i].startswith("runmax "):
             vals = lines[i].split()[1:]
             if len(vals) != n:
                 raise FormatError("runmax length mismatch", line=i + 1)
-            runmax.append([_decode_float(v, mode, i + 1) for v in vals])
+            runmax.append([_decoded(number, v, i + 1) for v in vals])
             i += 1
 
     if runmax and len(runmax) != len(times):

@@ -342,11 +342,12 @@ def palm_condition(sampler, x, delta: float, seed: int,
 
     Draws configurations from `sampler(draw_seed)`, accepts one that has a
     distinct point within delta of every x_i, removes those points and snaps
-    the tagged tuple onto x. The bias of the rejection is O(delta).
+    the tagged tuple onto x. The bias of the rejection is O(delta). Draw k
+    is `sampler(seed * max_draws + k)`, so two seeds never share a draw.
     """
     if not delta > 0:
         raise ConfigError("delta must be positive")
-    first = sampler(seed)
+    first = sampler(seed * max_draws)
     domain = first.domain
     tags = np.atleast_2d(np.asarray(x, dtype=float))
     if tags.shape[1] != domain.dimension:
@@ -368,7 +369,7 @@ def palm_condition(sampler, x, delta: float, seed: int,
     config = first
     for draw in range(max_draws):
         if draw > 0:
-            config = sampler(seed + draw)
+            config = sampler(seed * max_draws + draw)
         state = try_accept(config)
         if state is not None:
             return state

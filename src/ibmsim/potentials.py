@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PHI_KINDS = ("none", "harmonic", "table")
+PHI_KINDS = ("none", "harmonic")
 PSI_KINDS = ("none", "harmonic_pair", "lennard_jones", "soft_core", "hard_core")
 
 # Lennard-Jones forces are capped below this multiple of sigma; capped
@@ -20,8 +20,7 @@ LJ_CAP_FACTOR = 0.3
 class PotentialSpec:
     """Self potential Phi and symmetric pair potential Psi(x, y) = psi(|x - y|).
 
-    phi 'harmonic' is phi_strength * |x|^2; 'table' interpolates a radial
-    cubic spline through (phi_table_r, phi_table_v).
+    phi 'harmonic' is phi_strength * |x|^2.
     psi kinds: harmonic_pair  psi_strength * r^2
                lennard_jones  4 eps ((sigma/r)^12 - (sigma/r)^6), eps = psi_strength,
                               sigma = psi_range
@@ -31,8 +30,6 @@ class PotentialSpec:
 
     phi: str = "none"
     phi_strength: float = 1.0
-    phi_table_r: tuple = ()
-    phi_table_v: tuple = ()
     psi: str = "none"
     psi_strength: float = 1.0
     psi_range: float = 1.0
@@ -44,11 +41,6 @@ class PotentialSpec:
             raise ValueError(f"unknown phi kind {self.phi!r}")
         if self.psi not in PSI_KINDS:
             raise ValueError(f"unknown psi kind {self.psi!r}")
-        if self.phi == "table":
-            r, v = np.asarray(self.phi_table_r, float), np.asarray(self.phi_table_v, float)
-            if r.ndim != 1 or r.size < 2 or v.shape != r.shape or np.any(np.diff(r) <= 0):
-                raise ValueError("phi table needs at least 2 strictly increasing radii "
-                                 "and as many values")
         if not self.psi_range > 0:
             raise ValueError("psi_range must be positive")
         if not self.hard_core_diameter >= 0:
@@ -60,30 +52,17 @@ class PotentialSpec:
 
     # -- self potential -----------------------------------------------------
 
-    def _spline(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(np.asarray(self.phi_table_r), np.asarray(self.phi_table_v))
-
     def phi_value(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         if self.phi == "none":
             return np.zeros(pts.shape[0])
-        if self.phi == "harmonic":
-            return self.phi_strength * np.sum(pts * pts, axis=1)
-        radius = np.sqrt(np.sum(pts * pts, axis=1))
-        return self._spline()(radius)
+        return self.phi_strength * np.sum(pts * pts, axis=1)
 
     def phi_gradient(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         if self.phi == "none":
             return np.zeros_like(pts)
-        if self.phi == "harmonic":
-            return 2.0 * self.phi_strength * pts
-        radius = np.sqrt(np.sum(pts * pts, axis=1))
-        slope = self._spline()(radius, 1)
-        safe = np.where(radius > 0, radius, 1.0)
-        return (slope / safe)[:, None] * pts
+        return 2.0 * self.phi_strength * pts
 
     # -- pair potential -----------------------------------------------------
 

@@ -259,6 +259,49 @@ class TestCampbell:
         assert report.rhs == pytest.approx((2.0 * 1.5) ** 2, rel=0.15)
         assert abs(report.z) < 3.0
 
+    @pytest.mark.parametrize("sets, ks", [
+        ([(0.0, 1.5)], [1]), ([(0.0, 1.5), (3.0, 4.5)], [1, 1]), ([(1.0, 3.0)], [2]),
+        ([(1.0, 3.0), (5.0, 6.0)], [2, 0]),
+    ], ids=["1", "1,1", "2", "2,0"])
+    def test_sides_are_the_half_means_of_the_count_products(self, sets, ks):
+        dom = Domain(1, "torus", 8.0)
+        samples = [sample_poisson(dom, 1.5, 700 + s) for s in range(301)]
+
+        def products(half):
+            out = []
+            for s in half:
+                x = s.points[:, 0]
+                prod = 1
+                for (lo, hi), k in zip(sets, ks):
+                    prod *= math.perm(int(np.count_nonzero((x >= lo) & (x < hi))), k)
+                out.append(float(prod))
+            return np.array(out)
+
+        report = campbell_check(samples, sets, ks)
+        first, second = products(samples[:150]), products(samples[150:])
+        assert report.lhs == first.mean() and report.rhs == second.mean()
+        # the binned rho route integrated over bins tiling the set is the same sum
+        (lo, hi), k = sets[0], ks[0]
+        if len(sets) == 1 or ks[1] == 0:
+            edges = np.linspace(lo, hi, 5)
+            est = estimate_rho(samples[:150], k, edges, n_boot=2, min_expected=0.0)
+            widths = np.diff(edges)
+            area = widths if k == 1 else np.outer(widths, widths)
+            assert float(np.sum(est.values * area)) == pytest.approx(report.lhs, rel=1e-12)
+
+    def test_halves_at_different_intensities_fail(self):
+        dom = Domain(1, "torus", 8.0)
+        samples = ([sample_poisson(dom, 1.5, s) for s in range(400)]
+                   + [sample_poisson(dom, 2.5, 1000 + s) for s in range(400)])
+        for sets, ks in (([(0.0, 2.0)], [1]), ([(0.0, 2.0), (4.0, 6.0)], [1, 1])):
+            assert abs(campbell_check(samples, sets, ks).z) > 3.0
+
+    def test_sparse_order_one_is_reported(self):
+        dom = Domain(1, "torus", 8.0)
+        samples = [sample_poisson(dom, 0.2, s) for s in range(60)]  # ~6 points per half
+        report = campbell_check(samples, [(0.0, 1.0)], [1])
+        assert math.isfinite(report.z) and report.lhs + report.rhs < 1.0
+
     def test_order_zero_trivial(self):
         dom = Domain(1, "torus", 10.0)
         samples = [sample_poisson(dom, 1.0, s) for s in range(10)]

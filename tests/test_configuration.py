@@ -216,6 +216,31 @@ class TestLabel:
         with pytest.raises(NotSingle):
             label(free1d([1.0, 1.0]))
 
+    def test_lexicographic_labels_equal_the_lexsort_rule(self):
+        # oracle: the rule's former lexsort of the stored points; quarter-unit
+        # grids make coordinates tie, with signed zeros among them
+        rng = np.random.default_rng(29)
+        checked = 0
+        for _ in range(2000):
+            d = int(rng.integers(1, 4))
+            geometry = ("torus", "ball", "free")[int(rng.integers(3))]
+            dom = Domain(d, geometry, 4.0)
+            n = int(rng.integers(0, 12))
+            pts = rng.uniform(0.0, 4.0, size=(n, d))
+            if rng.uniform() < 0.5:
+                pts = np.round(pts * 4.0) / 4.0 % 4.0
+            if geometry != "torus":
+                pts -= 2.0  # inside the radius-4 ball
+            pts[pts == 0.0] *= rng.choice([1.0, -1.0], size=int(np.sum(pts == 0.0)))
+            c = Configuration(pts, dom)
+            if not c.is_single():
+                continue
+            expected = pts[np.lexsort(pts.T[::-1])]
+            got = label(c, "lexicographic").points
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            checked += 1
+        assert checked > 1000
+
     def test_kappa_after_label_is_identity(self):
         rng = np.random.default_rng(11)
         dom = Domain(2, "torus", 4.0)

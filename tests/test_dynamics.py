@@ -59,9 +59,6 @@ def assert_same_bits(a, b):
 class TestPotentialSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(phi="table"),
-        dict(phi="table", phi_table_r=(0.0,), phi_table_v=(1.0,)),
-        dict(phi="table", phi_table_r=(0.0, 1.0, 1.0), phi_table_v=(0.0, 1.0, 2.0)),
-        dict(phi="table", phi_table_r=(0.0, 1.0), phi_table_v=(0.0,)),
         dict(psi="soft_core", psi_range=0.0),
         dict(psi="lennard_jones", psi_range=-1.0),
         dict(hard_core_diameter=-0.5),
@@ -76,18 +73,8 @@ class TestPotentialSpecValidation:
 
 
 class TestPotentialGradients:
-    @pytest.mark.parametrize(
-        "pot",
-        [
-            PotentialSpec(phi="harmonic", phi_strength=0.7),
-            PotentialSpec(
-                phi="table",
-                phi_table_r=tuple(np.linspace(0.0, 6.0, 25)),
-                phi_table_v=tuple((np.linspace(0.0, 6.0, 25) ** 2) * 0.3),
-            ),
-        ],
-    )
-    def test_phi_gradient_matches_finite_difference(self, pot):
+    def test_phi_gradient_matches_finite_difference(self):
+        pot = PotentialSpec(phi="harmonic", phi_strength=0.7)
         rng = np.random.default_rng(0)
         pts = rng.uniform(0.5, 2.5, size=(8, 2))
         grad = pot.phi_gradient(pts)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,13 +221,34 @@ class TestTrajectoryFormat:
         ("seed=4", "seed=x"), ("max_retries=20", "max_retries=1.5"), ("stride=2", "stride=0"),
         ("dt=0.001", "dt=soon"), ("d=1", "d=one"), ("n_particles=2", "n_particles=two"),
         ("n_tagged=0", "n_tagged=none"), ("size=6", "size=big"),
-    ], ids=["seed", "max_retries", "stride", "dt", "d", "n_particles", "n_tagged", "size"])
+        ("coord_format=decimal", "coord_format=octal"),
+    ], ids=["seed", "max_retries", "stride", "dt", "d", "n_particles", "n_tagged", "size",
+            "coord_format"])
     def test_malformed_header_value_is_format_error(self, tmp_path, line, bad):
         path = tmp_path / "bad.traj"
         path.write_text(WRITTEN_DECIMAL.replace(f"\n{line}\n", f"\n{bad}\n", 1))
         with pytest.raises(FormatError, match=bad.split("=")[0]) as info:
             read_trajectory(path)
         assert info.value.line == 2
+
+    @pytest.mark.parametrize("text, old, new, message, line", [
+        (WRITTEN_DECIMAL, "\n2.5\n", "\n2.5x\n", "bad coordinate '2.5x'", 20),
+        (WRITTEN_DECIMAL, "time=0.002", "time=soon", "bad coordinate 'soon'", 22),
+        (WRITTEN_DECIMAL, "runmax 0 0", "runmax 0 zero", "bad coordinate 'zero'", 21),
+        (WRITTEN_HEX, "0x1.f2b11e1bba94cp-1", "0x1.zp+0", "bad coordinate '0x1.zp+0'", 24),
+        (WRITTEN_DECIMAL, "\n2.5\n", "\n2.5 1\n", "expected 1 coordinates for particle 1", 20),
+        (WRITTEN_DECIMAL, "runmax 0 0", "runmax 0", "runmax length mismatch", 21),
+        (WRITTEN_DECIMAL, "runmax 0 0\n", "", "runmax blocks do not match snapshots", 24),
+        (WRITTEN_DECIMAL, "runmax 0 0\n", "runmax 0 0\njunk\n", "expected a time= line", 22),
+    ], ids=["coordinate", "time", "runmax-value", "hex-coordinate", "coordinate-count",
+            "runmax-length", "runmax-on-some-blocks", "stray-line"])
+    def test_body_fault_names_its_line(self, tmp_path, text, old, new, message, line):
+        path = tmp_path / "bad.traj"
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(FormatError, match=re.escape(message)) as info:
+            read_trajectory(path)
+        assert info.value.line == line
 
     def test_version_mismatch(self, tmp_path):
         traj = small_trajectory()
@@ -306,7 +329,8 @@ class TestBuildSpec:
         assert build_potentials(parse_config("[domain]\ndimension = 1\n")) == PotentialSpec()
 
     def test_only_str_int_and_float_fields_are_read(self):
-        # the phi table and a DPP kernel are not config keys
+        # neither the phi table (no longer a field) nor a DPP kernel (set by the
+        # sampler kind) is a config key
         cfg = parse_config("[potentials]\nphi_table_r = 1, 2\nphi_table_v = 0, 1\n"
                            "[sampler]\nkind = dyson_sine\nkernel = ginibre\n"
                            "window_radius = 3\n[domain]\ndimension = 1\n"

@@ -396,6 +396,13 @@ class TestPalm:
         pvalue = stats.ks_2samp(nearest_cond, nearest_free).pvalue
         assert pvalue > 0.01
 
+    def test_consecutive_seeds_share_no_draw(self):
+        dom = Domain(1, "torus", 10.0)
+        sampler = make_poisson_sampler(dom, 1.5, seed=7)
+        backgrounds = {palm_condition(sampler, [[0.0]], delta=0.02, seed=s)
+                       .background.points.tobytes() for s in range(30)}
+        assert len(backgrounds) == 30
+
     def test_hard_core_background_keeps_exclusion(self):
         dom = Domain(1, "torus", 8.0)
         pot = PotentialSpec(psi="hard_core", hard_core_diameter=0.6)
