@@ -195,8 +195,12 @@ _CAMPBELL_BATCHES = 20
 
 def _batch_se(values: np.ndarray) -> float:
     """Standard error of the mean from batch means; robust to the serial
-    correlation of thinned-chain samples."""
-    batches = np.array_split(np.asarray(values, dtype=float), _CAMPBELL_BATCHES)
+    correlation of thinned-chain samples. Up to 20 batches of at least two
+    values each; fewer than 4 values raise InsufficientSamples."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 4:
+        raise InsufficientSamples(f"a batch-means se needs at least 4 values, got {values.size}")
+    batches = np.array_split(values, min(_CAMPBELL_BATCHES, values.size // 2))
     means = np.array([b.mean() for b in batches])
     return float(means.std(ddof=1) / math.sqrt(len(means)))
 

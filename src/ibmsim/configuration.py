@@ -137,10 +137,16 @@ def _private(pts: np.ndarray) -> np.ndarray:
 
 
 # the pair search: every pair loop of the package goes through these helpers
-@functools.cache
+
+# _all_pairs keeps the lists of this many most recent n; batches of ragged
+# sizes ask for many n, and one list for n = 1000 holds 16 MB
+_ALL_PAIRS_CACHED = 32
+
+
+@functools.lru_cache(maxsize=_ALL_PAIRS_CACHED)
 def _all_pairs(n: int):
     """Ordered pairs (i, j), i != j, of n points, sorted by i then j (its i < j
-    rows are the upper triangle in row order); cached per n, read-only."""
+    rows are the upper triangle in row order); cached per recent n, read-only."""
     pairs = np.nonzero(~np.eye(n, dtype=bool))
     for index in pairs:
         index.setflags(write=False)

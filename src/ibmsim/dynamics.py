@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import ConfigError, Overlap, StepRejected
 from .potentials import PotentialSpec
 
 _U64 = np.uint64
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 _GOLDEN = _U64(_GOLDEN_INT)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
@@ -50,13 +52,22 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def _draws(seed: int, steps, labels: np.ndarray, d: int, round_key: int) -> np.ndarray:
-    """(len(steps), n, d) standard normals for the uint64 stream ids labels."""
-    counters = [(seed + _GOLDEN_INT * (s + 1)) & 0xFFFFFFFFFFFFFFFF for s in steps]
+def _seed_words(seeds) -> np.ndarray:
+    """One uint64 word per int seed, each seed taken mod 2**64."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    return np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+
+
+def _draws(seed, steps, labels: np.ndarray, d: int, round_key: int) -> np.ndarray:
+    """(len(steps), n, d) standard normals for the uint64 stream ids labels;
+    seed is an int, or a uint64 array with one seed per stream."""
+    words = seed if isinstance(seed, np.ndarray) else _seed_words([seed])
+    offsets = np.array([(_GOLDEN_INT * (s + 1)) & _MASK64 for s in steps], dtype=np.uint64)
     lanes = np.arange(d, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        base = _mix64(np.array(counters, dtype=np.uint64))
-        base = _mix64(base ^ (_SALT_ROUND * _U64(round_key + 1)))[:, None, None]
+        base = _mix64(offsets[:, None] + words)  # (steps, 1), or (steps, n): seed per stream
+        base = _mix64(base ^ (_SALT_ROUND * _U64(round_key + 1)))[:, :, None]
         h = _mix64(base ^ (_SALT_LABEL * (labels + _U64(1)))[:, None])
         h = _mix64(h ^ (_SALT_LANE * (lanes + _U64(1))))
         u1_bits = _mix64(h + _GOLDEN)
@@ -67,19 +78,21 @@ def _draws(seed: int, steps, labels: np.ndarray, d: int, round_key: int) -> np.n
 
 
 # round-key-0 draws of one stream set for a block of consecutive steps:
-# ((seed, d, stream id bytes), first step, (steps, n, d) draws)
+# ((seed or seed bytes, d, stream id bytes), first step, (steps, n, d) draws)
 _NOISE_BLOCK: tuple = (None, 0, np.empty((0, 0, 0)))
 _BLOCK_STEPS = 64
 _BLOCK_DRAWS = 4096
 
 
-def label_noise(seed: int, step: int, labels, d: int, round_key: int = 0) -> np.ndarray:
+def label_noise(seed, step: int, labels, d: int, round_key: int = 0) -> np.ndarray:
     """Standard normals, one d-vector per label stream.
 
-    labels is an integer array of stream ids (or an int n, meaning 0..n-1).
-    The draw for a stream depends only on (seed, step, label id, round_key), so
-    identically permuting initial labels and their streams permutes the path
-    exactly, and retries redraw without disturbing other streams.
+    labels is an integer array of stream ids (or an int n, meaning 0..n-1);
+    seed is one int for every stream, or a sequence of ints with one seed per
+    stream. The draw for a stream depends only on (its seed, step, label id,
+    round_key), so identically permuting initial labels and their streams
+    permutes the path exactly, retries redraw without disturbing other
+    streams, and one call draws for a batch of independent runs.
 
     Round-key-0 draws are computed a block of consecutive steps at a time
     (up to 64 steps and 4096 numbers) and served from a one-entry memo, bitwise
@@ -92,9 +105,16 @@ def label_noise(seed: int, step: int, labels, d: int, round_key: int = 0) -> np.
     if np.isscalar(labels):
         labels = np.arange(labels, dtype=np.uint64)
     labels = np.asarray(labels, dtype=np.uint64)
+    if isinstance(seed, (int, np.integer)):
+        seed_key = seed
+    else:
+        seed = _seed_words(seed)
+        if seed.shape != labels.shape:
+            raise ValueError(f"{seed.size} seeds for {labels.size} streams")
+        seed_key = seed.tobytes()
     if round_key != 0:
         return _draws(seed, (step,), labels, d, round_key)[0]
-    key = (seed, d, labels.tobytes())
+    key = (seed_key, d, labels.tobytes())
     memo_key, first, block = _NOISE_BLOCK
     if memo_key != key or not first <= step < first + len(block):
         n_steps = max(1, min(_BLOCK_STEPS, _BLOCK_DRAWS // max(1, labels.size * d)))
@@ -175,36 +195,53 @@ class Trajectory:
 _TREE_MIN_POINTS = 128
 
 
+class _Segments(NamedTuple):
+    """A flat batch of several labeled states: each point's segment id (the
+    segments lie in order, one block of points each), the number of segments,
+    and the ordered pairs of every segment, offset to the flat indices."""
+
+    ids: np.ndarray
+    count: int
+    pairs: tuple
+
+
 def _drift(points: np.ndarray, domain: Domain, potentials: PotentialSpec,
-           radius: float | None):
+           radius: float | None, segments: _Segments | None = None):
     """Drift -1/2 grad Phi - 1/2 sum_j grad Psi, cutoff at r_cut, and the
-    capped-force counter; pairs are searched within radius (None: all pairs).
+    capped-force count; pairs are searched within radius (None: all pairs).
 
     Pairs are indexed by canonical (lexicographic) rank and sorted by (i, j),
     and bincount adds each particle's terms one at a time in that order, so
     every search radius >= r_cut gives the same bits and the sum is invariant
-    under slot relabeling.
+    under slot relabeling. With segments, the segment id is the primary key of
+    the rank, pairs are the segments' own, and the capped count is an array
+    with one entry per segment: each segment gets the bits it gets alone.
     """
     drift = -0.5 * potentials.phi_gradient(points)
     n, d = points.shape
     if n < 2 or not potentials.has_pair:
         return drift, 0
-    slots = np.lexsort(points.T[::-1])  # canonical (lexicographic) rank
+    keys = points.T[::-1] if segments is None else (*points.T[::-1], segments.ids)
+    slots = np.lexsort(keys)  # canonical (lexicographic) rank, within its segment
     canon = points[slots]
-    i, j = _close_pairs(canon, domain, radius)
+    i, j = _close_pairs(canon, domain, radius) if segments is None else segments.pairs
     diff = domain.displacement(canon[i], canon[j])
     dist = np.sqrt((diff * diff).sum(axis=-1))
     keep = (dist <= potentials.r_cut).nonzero()[0]
     if keep.size < dist.size:
         i, diff, dist = i[keep], diff[keep], dist[keep]
     factor, capped = potentials.pair_gradient_factor(dist)
+    if capped and segments is not None:
+        # canonical ranks keep each segment's block, so ids index them too
+        capped = np.bincount(segments.ids[i[dist < potentials.cap_radius]],
+                             minlength=segments.count)
     force = -0.5 * factor[:, None] * diff
     for a in range(d):
         drift[slots, a] += np.bincount(i, weights=force[:, a], minlength=n)
     return drift, capped
 
 
-def _check_overlap(state: LabeledState, pot: PotentialSpec) -> None:
+def _check_overlap(state, pot: PotentialSpec) -> None:
     if pot.has_hard_core and _min_gap(state.points, state.domain) < pot.hard_core_sigma:
         raise Overlap("hard-core particles overlap in the input state")
 
@@ -273,17 +310,45 @@ def _reflect_hard_core(points: np.ndarray, domain: Domain, sigma: float):
 
 
 class _Stepper:
-    """One Euler-Maruyama update of n points, tracking unwrapped displacement."""
+    """One Euler-Maruyama update of a flat batch of labeled states, tracking
+    unwrapped displacement.
+
+    sizes, seeds and stream_labels hold one entry per state (segment); a
+    stream_labels entry of None means slot index. One segment searches pairs
+    with the tree from _TREE_MIN_POINTS points on and handles hard cores;
+    several segments take their all-pairs lists, built once, and no hard core.
+    """
 
     def __init__(self, domain: Domain, potentials: PotentialSpec, params: SimParams,
-                 n: int, stream_labels=None):
+                 sizes, seeds, stream_labels):
         self.domain = domain
         self.potentials = potentials
         self.params = params
-        tree = math.isfinite(potentials.r_cut) and n >= _TREE_MIN_POINTS
-        self.radius = potentials.r_cut if tree else None  # None: all pairs
-        self.stream_labels = stream_labels
-        self.capped = 0
+        n = sum(sizes)
+        if len(sizes) == 1:
+            self.seed = seeds[0]
+            self.streams = n if stream_labels[0] is None else stream_labels[0]
+            self.segments = None
+            tree = math.isfinite(potentials.r_cut) and n >= _TREE_MIN_POINTS
+            self.radius = potentials.r_cut if tree else None  # None: all pairs
+        else:
+            if potentials.has_hard_core:
+                raise ConfigError("a hard core needs one state per run, not a batch")
+            self.seed = np.repeat(_seed_words(seeds), sizes)
+            self.streams = np.concatenate([
+                np.arange(k, dtype=np.uint64) if labels is None
+                else np.asarray(labels, dtype=np.uint64)
+                for k, labels in zip(sizes, stream_labels)])
+            offsets = np.cumsum(sizes) - sizes
+            lists = [_all_pairs(k) for k in sizes]
+            # offsets grow with the segment, so the concatenation is sorted by (i, j)
+            pairs = tuple(np.concatenate([p[side] + o for p, o in zip(lists, offsets)])
+                          for side in (0, 1))
+            self.segments = _Segments(np.repeat(np.arange(len(sizes)), sizes), len(sizes),
+                                      pairs)
+            self.radius = None
+        # capped forces: a count, or one count per segment
+        self.capped = 0 if self.segments is None else np.zeros(len(sizes), dtype=np.int64)
         self.halvings = 0
         self.redraws = 0  # attempts drawn with a non-zero round key
         self.min_gap = math.inf  # over every accepted update, not just snapshots
@@ -292,16 +357,16 @@ class _Stepper:
         params = self.params
         dt = params.dt if dt is None else dt
         n, d = points.shape
-        streams = self.stream_labels if self.stream_labels is not None else n
         sigma = self.potentials.hard_core_sigma
-        drift, capped = _drift(points, self.domain, self.potentials, self.radius)
+        drift, capped = _drift(points, self.domain, self.potentials, self.radius,
+                               self.segments)
         self.capped += capped
         sqrt_dt = math.sqrt(dt)
         for attempt in range(params.max_retries):
             key = noise_key * _KEY_BASE + attempt
             if key:
                 self.redraws += 1
-            incr = drift * dt + sqrt_dt * label_noise(params.seed, step_index, streams, d, key)
+            incr = drift * dt + sqrt_dt * label_noise(self.seed, step_index, self.streams, d, key)
             proposal = _apply_boundary(points + incr, self.domain)
             if not self.potentials.has_hard_core or n < 2:
                 return proposal, unwrapped + incr
@@ -335,25 +400,34 @@ def step(state: LabeledState, potentials: PotentialSpec, dt: float, seed: int,
     """
     params = SimParams(dt=dt, t_end=dt, seed=seed, hard_core_mode=hard_core_mode,
                        max_retries=max_retries)
-    stepper = _Stepper(state.domain, potentials, params, len(state))
+    stepper = _Stepper(state.domain, potentials, params, [len(state)], [seed], [None])
     pts, _ = stepper.advance(state.points.copy(), state.points.copy(), step_index)
     return LabeledState(pts, state.domain, validate=False)
 
 
-def simulate(initial: LabeledState, potentials: PotentialSpec,
-             params: SimParams, provenance: dict | None = None,
-             stream_labels=None) -> Trajectory:
-    """Integrate the labeled SDE; deterministic given (initial, params.seed).
+def _simulate_batch(initials, potentials: PotentialSpec, params: SimParams, seeds,
+                    stream_labels=None, provenance: dict | None = None) -> list[Trajectory]:
+    """Integrate labeled or k-labeled states of one domain as one flat batch.
 
-    stream_labels optionally reassigns the per-slot noise streams (default is
-    slot index), which makes label-permutation equivariance an exact identity.
+    Trajectory r is bitwise the one `simulate` (or `simulate_k_labeled`) gives
+    for initials[r] under seed seeds[r] and stream_labels[r] (default: slot
+    index), with its own diagnostics. The points of all states form one (M, d)
+    array: one noise call, one drift and one boundary step per time step
+    serve every state. Several states cannot have a hard core (ConfigError).
     """
-    domain = initial.domain
-    stepper = _Stepper(domain, potentials, params, len(initial), stream_labels)
-    _check_overlap(initial, potentials)
+    domain = initials[0].domain
+    if any(state.domain != domain for state in initials):
+        raise ConfigError("the states of a batch must share one domain")
+    flat = [kappa(state) for state in initials]
+    sizes = [len(config) for config in flat]
+    if stream_labels is None:
+        stream_labels = [None] * len(initials)
+    stepper = _Stepper(domain, potentials, params, sizes, seeds, stream_labels)
+    for config in flat:
+        _check_overlap(config, potentials)
 
     n_steps = int(round(params.t_end / params.dt))
-    points = initial.points.copy()
+    points = np.concatenate([config.points for config in flat])
     unwrapped = points.copy()
     start = points.copy()
 
@@ -371,22 +445,41 @@ def simulate(initial: LabeledState, potentials: PotentialSpec,
             snap_pos.append(points.copy())
             snap_max.append(run_max.copy())
 
-    diagnostics = {
-        "capped_forces": stepper.capped,
-        "step_halvings": stepper.halvings,
-        "noise_redraws": stepper.redraws,
-        "min_pair_gap": stepper.min_gap,
-    }
-    return Trajectory(
-        times=np.asarray(snap_times),
-        positions=np.asarray(snap_pos),
-        domain=domain,
-        params=params,
-        n_tagged=0,
-        running_max=np.asarray(snap_max),
-        provenance=dict(provenance or {}),
-        diagnostics=diagnostics,
-    )
+    times, positions, running_max = map(np.asarray, (snap_times, snap_pos, snap_max))
+    bounds = np.cumsum([0] + sizes)
+    capped = np.broadcast_to(stepper.capped, len(initials))
+    out = []
+    for r, state in enumerate(initials):
+        lo, hi = bounds[r], bounds[r + 1]
+        out.append(Trajectory(
+            times=times.copy(),
+            positions=np.ascontiguousarray(positions[:, lo:hi]),
+            domain=domain,
+            params=params if seeds[r] == params.seed else replace(params, seed=seeds[r]),
+            n_tagged=state.k if isinstance(state, KLabeledState) else 0,
+            running_max=np.ascontiguousarray(running_max[:, lo:hi]),
+            provenance=dict(provenance or {}),
+            diagnostics={
+                "capped_forces": int(capped[r]),
+                "step_halvings": stepper.halvings,
+                "noise_redraws": stepper.redraws,
+                "min_pair_gap": stepper.min_gap,
+            },
+        ))
+    return out
+
+
+def simulate(initial: LabeledState, potentials: PotentialSpec,
+             params: SimParams, provenance: dict | None = None,
+             stream_labels=None) -> Trajectory:
+    """Integrate the labeled SDE; deterministic given (initial, params.seed).
+
+    stream_labels optionally reassigns the per-slot noise streams (default is
+    slot index), which makes label-permutation equivariance an exact identity.
+    This is the one-state batch of the integrator.
+    """
+    return _simulate_batch([initial], potentials, params, [params.seed], [stream_labels],
+                           provenance)[0]
 
 
 def simulate_k_labeled(initial: KLabeledState, potentials: PotentialSpec,
@@ -394,7 +487,5 @@ def simulate_k_labeled(initial: KLabeledState, potentials: PotentialSpec,
     """Same dynamics as `simulate` on kappa(initial), tracking the first k
     labels as the tagged tuple; under a shared seed the unlabeled image of the
     output coincides pointwise with the plain simulation."""
-    flat = LabeledState(kappa(initial).points, initial.domain, validate=False)
-    traj = simulate(flat, potentials, params, provenance)
-    traj.n_tagged = initial.k
-    return traj
+    return _simulate_batch([initial], potentials, params, [params.seed],
+                           provenance=provenance)[0]

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .analysis import (
     constant_log_profile,
@@ -29,7 +28,7 @@ from .cylinder import (
     LinearStatistic,
     random_cylinder,
 )
-from .dynamics import SimParams, simulate, simulate_k_labeled
+from .dynamics import SimParams, _simulate_batch
 from .errors import ConfigError
 from .forms import (
     EXACT_CAP,
@@ -254,10 +253,12 @@ def _run_thm24(cfg, seed: int) -> list[PipelineRow]:
     if not any(k < n for n in n_values for k in k_values):
         raise ConfigError("no (n, k) in n_values x k_values has k < n: nothing to check")
     p_threshold = _real(sec, "p_threshold", 0.01)
-    params_base = dict(dt=_real(sec, "dt"), t_end=_real(sec, "t_end"),
+    params = SimParams(dt=_real(sec, "dt"), t_end=_real(sec, "t_end"),
                        stride=_count(sec, "stride"))
     pot = build_potentials(cfg)
     dom = Domain(1, "free", 50.0)
+
+    from scipy import stats  # here, not at module level: the CLI starts without it
 
     rows = []
     for n in n_values:
@@ -265,20 +266,17 @@ def _run_thm24(cfg, seed: int) -> list[PipelineRow]:
         names = list(_path_functionals(np.zeros((1, n, 1))).keys())
 
         def run_arm(arm_index: int, k: int) -> np.ndarray:
+            if k == 0:
+                state = label(start, "lexicographic")
+            else:
+                ordered = label(start, "distance-from-origin")
+                background = Configuration(ordered.points[k:], dom, validate=False)
+                state = KLabeledState(ordered.points[:k], background)
+            seeds = [seed * 4_000_037 + arm_index * 1_000_003 + n * 101 + rep
+                     for rep in range(replicas)]
+            trajs = _simulate_batch([state] * replicas, pot, params, seeds)
             out = np.empty((replicas, len(names)))
-            for rep in range(replicas):
-                run_seed = seed * 4_000_037 + arm_index * 1_000_003 + n * 101 + rep
-                params = SimParams(seed=run_seed, **params_base)
-                if k == 0:
-                    state = label(start, "lexicographic")
-                    traj = simulate(state, pot, params)
-                else:
-                    ordered = label(start, "distance-from-origin")
-                    tagged = ordered.points[:k]
-                    background = Configuration(ordered.points[k:], dom, validate=False)
-                    traj = simulate_k_labeled(
-                        KLabeledState(tagged, background), pot, params
-                    )
+            for rep, traj in enumerate(trajs):
                 values = _path_functionals(traj.positions)
                 out[rep] = [values[name] for name in names]
             return out
@@ -302,7 +300,7 @@ def _run_thm27(cfg, seed: int) -> list[PipelineRow]:
     replicas = _count(sec, "replicas", least=2)
     intensity = _real(sec, "intensity")
     size = _real(sec, "domain_size")
-    params_base = dict(dt=_real(sec, "dt"), t_end=_real(sec, "t_end"),
+    params = SimParams(dt=_real(sec, "dt"), t_end=_real(sec, "t_end"),
                        stride=_count(sec, "stride"))
     dom = Domain(1, "torus", size)
     delta = 0.01 / intensity
@@ -345,10 +343,11 @@ def _run_thm27(cfg, seed: int) -> list[PipelineRow]:
     for label_name, pot, sampler, n_reps in setups:
         worst = 0.0
         starts, ends = np.empty(n_reps), np.empty(n_reps)
-        for rep in range(n_reps):
-            state = palm_condition(sampler, origin, delta, seed=seed * 7919 + rep)
-            params = SimParams(seed=seed * 104729 + rep, **params_base)
-            traj = simulate_k_labeled(state, pot, params)
+        states = [palm_condition(sampler, origin, delta, seed=seed * 7919 + rep)
+                  for rep in range(n_reps)]
+        seeds = [seed * 104729 + rep for rep in range(n_reps)]
+        trajs = _simulate_batch(states, pot, params, seeds)
+        for rep, traj in enumerate(trajs):
             w, g0, g1 = environment_observable(traj)
             worst = max(worst, w)
             starts[rep], ends[rep] = g0, g1

@@ -94,12 +94,17 @@ class PotentialSpec:
         if self.psi == "soft_core":
             s2 = self.psi_range**2
             return -(self.psi_strength / s2) * np.exp(-r * r / (2.0 * s2)), 0
-        rc = LJ_CAP_FACTOR * self.psi_range
+        rc = self.cap_radius
         capped = int(np.count_nonzero(r < rc))
         rr = np.maximum(r, rc)
         x6 = (self.psi_range / rr) ** 6
         factor = 24.0 * self.psi_strength * (x6 - 2.0 * x6 * x6) / (rr * rr)
         return factor, capped
+
+    @property
+    def cap_radius(self) -> float:
+        """Separation below which pair forces are capped (0: never)."""
+        return LJ_CAP_FACTOR * self.psi_range if self.psi == "lennard_jones" else 0.0
 
     @property
     def has_pair(self) -> bool:

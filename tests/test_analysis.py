@@ -302,6 +302,20 @@ class TestCampbell:
         report = campbell_check(samples, [(0.0, 1.0)], [1])
         assert math.isfinite(report.z) and report.lhs + report.rhs < 1.0
 
+    def test_few_samples_give_a_finite_z(self):
+        # 10 samples per half: fewer than the 20 batches of a long run
+        dom = Domain(1, "torus", 10.0)
+        samples = [sample_poisson(dom, 1.0, 300 + s) for s in range(20)]
+        report = campbell_check(samples, [(0.0, 3.0)], [1])
+        assert math.isfinite(report.lhs_se) and report.lhs_se > 0
+        assert math.isfinite(report.z)
+
+    def test_below_four_samples_per_half_raises(self):
+        dom = Domain(1, "torus", 10.0)
+        samples = [sample_poisson(dom, 1.0, 400 + s) for s in range(7)]
+        with pytest.raises(InsufficientSamples):
+            campbell_check(samples, [(0.0, 3.0)], [1])
+
     def test_order_zero_trivial(self):
         dom = Domain(1, "torus", 10.0)
         samples = [sample_poisson(dom, 1.0, s) for s in range(10)]

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +414,31 @@ class TestPipelineCommand:
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(SystemExit):
             main(["pipeline", "--name", "nope"])
+
+    @pytest.mark.parametrize("name, values, digest", [
+        ("thm24-identity", {"replicas": 60},
+         "895383ba8632ce83acd9f09f51cf67fb246d53f64fc7e3fb05c08e36b534dfdb"),
+        ("thm27-environment",
+         {"replicas": 30, "interacting_replicas": 20, "burn_in": 2000, "thin": 20},
+         "f80cf93022b5ee32efb32f38797b3d985c15d5ecd62daa6c6e3e9f9a4e3d7f64"),
+    ], ids=["thm24", "thm27"])
+    def test_pinned_report_digest(self, tmp_path, name, values, digest):
+        # SHA-256 of the reports from the route that ran each replica alone
+        text = DEFAULT_CONFIGS[name]
+        for key, value in values.items():
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        pipelines.run_pipeline(name, text, out_dir=str(tmp_path))
+        assert hashlib.sha256((tmp_path / f"{name}.tsv").read_bytes()).hexdigest() == digest
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone doubles the start-up time of every command
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import ibmsim.cli; " \
+           "print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestNonexplosionPipelineCli:

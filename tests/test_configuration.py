@@ -11,6 +11,8 @@ from ibmsim.configuration import (
     Domain,
     KLabeledState,
     LabeledState,
+    _ALL_PAIRS_CACHED,
+    _all_pairs,
     _min_gap,
     falling_factorial,
     iota,
@@ -176,6 +178,15 @@ class TestConfiguration:
             for n in [2, 7, 50, 300] * 10:
                 check(n, outside=True)
                 check(n, coincident=True, outside=True)
+
+    def test_all_pairs_cache_is_bounded(self):
+        for n in list(range(2 * _ALL_PAIRS_CACHED)) + [5, 70, 5]:
+            i, j = _all_pairs(n)
+            assert _all_pairs.cache_info().currsize <= _ALL_PAIRS_CACHED
+            want_i, want_j = np.nonzero(~np.eye(n, dtype=bool))
+            assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+            assert not i.flags.writeable and not j.flags.writeable
+        assert _all_pairs(5) is _all_pairs(5)
 
     def test_same_points_is_order_free(self):
         a = free1d([2.0, -1.0, 0.5])

@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibmsim import dynamics
 from ibmsim.configuration import Configuration, Domain, KLabeledState, LabeledState, kappa
@@ -545,3 +548,120 @@ class TestKLabeled:
         flat = LabeledState(kappa(ks).points, dom)
         traj_u = simulate(flat, pot, params)
         assert np.array_equal(traj_k.positions, traj_u.positions)
+
+
+class TestSeedPerStream:
+    def test_each_stream_draws_with_its_own_seed(self):
+        rng = np.random.default_rng(70)
+        seeds = [int(s) for s in rng.integers(-2**62, 2**62, size=7)]
+        labels = rng.permutation(9)[:7]
+        for s in (1, 2, 64, 65, 300):
+            for key in (0, 1, 131):
+                draw = label_noise(seeds, s, labels, 2, key)
+                for m, (seed, lab) in enumerate(zip(seeds, labels)):
+                    assert_same_bits(draw[m], reference_noise(seed, s, [lab], 2, key)[0])
+
+    def test_seed_count_must_match_streams(self):
+        with pytest.raises(ValueError):
+            label_noise([1, 2], 1, 3, 1)
+
+
+class TestBatch:
+    """_simulate_batch integrates several states as one flat array; each
+    state's trajectory carries the bits of its own simulate run."""
+
+    POTENTIALS = {
+        "free": PotentialSpec(),
+        "ou-soft-core-cut": PotentialSpec(phi="harmonic", psi="soft_core", psi_strength=0.8,
+                                          psi_range=0.7, r_cut=1.5),
+        "harmonic-pair": PotentialSpec(psi="harmonic_pair", psi_strength=0.3),
+        # weak enough that a capped force moves a point by less than the noise
+        "lennard-jones": PotentialSpec(psi="lennard_jones", psi_strength=1e-7, psi_range=0.6,
+                                       r_cut=2.0),
+    }
+
+    @staticmethod
+    def state(rng, n, dom):
+        # the square of side size / sqrt(2) lies inside the ball of radius size
+        low, high = {"torus": (0.0, dom.size), "free": (-dom.size, dom.size),
+                     "ball": (-dom.size / 2**0.5, dom.size / 2**0.5)}[dom.geometry]
+        return LabeledState(rng.uniform(low, high, size=(n, dom.dimension)), dom)
+
+    @staticmethod
+    def assert_segments_match(initials, pot, params, seeds, stream_labels=None):
+        batch = dynamics._simulate_batch(initials, pot, params, seeds, stream_labels)
+        assert len(batch) == len(initials)
+        for r, state in enumerate(initials):
+            own = dataclasses.replace(params, seed=seeds[r])
+            if isinstance(state, KLabeledState):
+                alone = simulate_k_labeled(state, pot, own)
+            else:
+                labels = None if stream_labels is None else stream_labels[r]
+                alone = simulate(state, pot, own, stream_labels=labels)
+            for key in ("times", "positions", "running_max"):
+                assert_same_bits(getattr(batch[r], key), getattr(alone, key))
+            assert batch[r].diagnostics == alone.diagnostics
+            assert batch[r].params == alone.params
+            assert batch[r].n_tagged == alone.n_tagged
+        return batch
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_each_segment_is_its_own_simulate(self, data):
+        geometry = data.draw(st.sampled_from(["torus", "free", "ball"]))
+        d = data.draw(st.sampled_from([1, 2]))
+        pot = self.POTENTIALS[data.draw(st.sampled_from(sorted(self.POTENTIALS)))]
+        sizes = data.draw(st.lists(st.integers(0, 7), min_size=2, max_size=5))
+        seeds = data.draw(st.lists(st.integers(-2**63, 2**64), min_size=len(sizes),
+                                   max_size=len(sizes)))
+        permute = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        dom = Domain(d, geometry, 2.5)
+        initials = [self.state(rng, n, dom) for n in sizes]
+        stream_labels = [rng.permutation(n) for n in sizes] if permute else None
+        params = SimParams(dt=2e-3, t_end=0.03, stride=4)
+        self.assert_segments_match(initials, pot, params, seeds, stream_labels)
+
+    def test_capped_forces_are_counted_per_segment(self):
+        dom = Domain(2, "torus", 4.0)
+        pot = self.POTENTIALS["lennard-jones"]
+        close = LabeledState([[1.0, 1.0], [1.1, 1.0], [3.0, 2.5]], dom)
+        spread = LabeledState([[0.5, 0.5], [2.5, 2.5]], dom)
+        params = SimParams(dt=1e-4, t_end=5e-4)
+        batch = self.assert_segments_match([spread, close, spread], pot, params, [3, 4, 5])
+        assert [t.diagnostics["capped_forces"] for t in batch] == [0, 10, 0]
+
+    def test_k_labeled_states_and_a_large_segment(self):
+        # a lone segment of _TREE_MIN_POINTS points or more searches with the tree
+        rng = np.random.default_rng(71)
+        dom = Domain(1, "torus", 40.0)
+        pot = self.POTENTIALS["ou-soft-core-cut"]
+        ks = [KLabeledState(rng.uniform(0, 40, size=(k, 1)),
+                            Configuration(rng.uniform(0, 40, size=(n, 1)), dom))
+              for k, n in ((1, 0), (1, 9), (2, 140))]
+        params = SimParams(dt=1e-3, t_end=5e-3)
+        self.assert_segments_match(ks, pot, params, [8, 9, 10])
+        self.assert_segments_match(ks[2:], pot, params, [11])
+
+    def test_one_segment_batch_keeps_hard_core_handling(self):
+        dom = Domain(1, "torus", 8.0)
+        state = LabeledState(np.arange(10)[:, None] * 0.8, dom)
+        hard = PotentialSpec(psi="hard_core", hard_core_diameter=0.3)
+        params = SimParams(dt=1e-3, t_end=0.05, seed=11, max_retries=3)
+        with pytest.warns(UserWarning, match="halving"):
+            traj, = self.assert_segments_match([state], hard, params, [11])
+        assert traj.diagnostics["step_halvings"] > 0
+
+    def test_hard_core_batch_rejected(self):
+        dom = Domain(1, "torus", 8.0)
+        state = LabeledState([[1.0], [4.0]], dom)
+        for pot in (PotentialSpec(psi="hard_core", hard_core_diameter=0.3),
+                    PotentialSpec(psi="soft_core", hard_core_diameter=0.3)):
+            with pytest.raises(ConfigError):
+                dynamics._simulate_batch([state, state], pot, SimParams(), [1, 2])
+
+    def test_states_must_share_a_domain(self):
+        a = LabeledState([[1.0]], Domain(1, "torus", 8.0))
+        b = LabeledState([[1.0]], Domain(1, "torus", 9.0))
+        with pytest.raises(ConfigError):
+            dynamics._simulate_batch([a, b], PotentialSpec(), SimParams(), [1, 2])
