@@ -82,6 +82,9 @@ def _draws(seed, steps, labels: np.ndarray, d: int, round_key: int) -> np.ndarra
 _NOISE_BLOCK: tuple = (None, 0, np.empty((0, 0, 0)))
 _BLOCK_STEPS = 64
 _BLOCK_DRAWS = 4096
+# the integrator keeps the unwrapped positions of a block of steps for the
+# running max: at most this many numbers, and at least one step
+_TRACK_NUMBERS = 4096
 
 
 def label_noise(seed, step: int, labels, d: int, round_key: int = 0) -> np.ndarray:
@@ -428,24 +431,36 @@ def _simulate_batch(initials, potentials: PotentialSpec, params: SimParams, seed
 
     n_steps = int(round(params.t_end / params.dt))
     points = np.concatenate([config.points for config in flat])
-    unwrapped = points.copy()
-    start = points.copy()
+    m, d = points.shape
+    unwrapped = start = points  # every step makes new arrays; none is written in place
+    # snapshots at step 0, every stride-th step and the last step
+    steps = np.unique(np.append(np.arange(0, n_steps + 1, params.stride), n_steps))
+    times = steps * params.dt
+    positions = np.empty((steps.size, m, d))
+    running_max = np.empty((steps.size, m))
+    positions[0], running_max[0] = points, 0.0
 
-    run_max = np.zeros(points.shape[0])
-    snap_times = [0.0]
-    snap_pos = [points.copy()]
-    snap_max = [run_max.copy()]
+    # the unwrapped positions of a block of steps, reduced to the running max
+    # once per block
+    block = np.empty((max(1, min(n_steps, _TRACK_NUMBERS // max(1, m * d))), m, d))
+    due = steps.tolist()
+    snap, run_max = 1, running_max[0]
+    for first in range(1, n_steps + 1, len(block)):
+        stop, first_snap = min(first + len(block), n_steps + 1), snap
+        for row, step_index in enumerate(range(first, stop)):
+            points, unwrapped = stepper.advance(points, unwrapped, step_index)
+            block[row] = unwrapped
+            if step_index == due[snap]:
+                positions[snap] = points
+                snap += 1
+        moved = block[: stop - first]
+        np.subtract(moved, start, out=moved)
+        disp = np.sqrt(np.sum(np.square(moved, out=moved), axis=2))
+        np.maximum(disp[0], run_max, out=disp[0])
+        np.maximum.accumulate(disp, axis=0, out=disp)
+        running_max[first_snap:snap] = disp[steps[first_snap:snap] - first]
+        run_max = disp[-1]
 
-    for step_index in range(1, n_steps + 1):
-        points, unwrapped = stepper.advance(points, unwrapped, step_index)
-        disp = np.sqrt(np.sum((unwrapped - start) ** 2, axis=1))
-        run_max = np.maximum(run_max, disp)
-        if step_index % params.stride == 0 or step_index == n_steps:
-            snap_times.append(step_index * params.dt)
-            snap_pos.append(points.copy())
-            snap_max.append(run_max.copy())
-
-    times, positions, running_max = map(np.asarray, (snap_times, snap_pos, snap_max))
     bounds = np.cumsum([0] + sizes)
     capped = np.broadcast_to(stepper.capped, len(initials))
     out = []

@@ -10,6 +10,7 @@ import io
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -23,18 +24,72 @@ TRAJECTORY_FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# float codecs: 17 significant digits or raw IEEE-754 hex, both lossless;
-# each is (encode, decode) on Python floats
+# float codecs: 17 significant digits or raw IEEE-754 hex, both lossless; each
+# is (%-field, the map from a float to what the field formats, None when that
+# is the float itself, decode of one text)
 # ---------------------------------------------------------------------------
 
-_FLOAT_CODECS = {"decimal": ("%.17g".__mod__, float), "hex": (float.hex, float.fromhex)}
+_FLOAT_CODECS = {"decimal": ("%.17g", None, float), "hex": ("%s", float.hex, float.fromhex)}
 
 
-def _decoded(decode, text: str, line: int) -> float:
+def _float_text(codec: str, value: float) -> str:
+    field, as_text, _ = _FLOAT_CODECS[codec]
+    return field % (value if as_text is None else as_text(value))
+
+
+def _encoded(codec: str, layout, rows) -> str:
+    """Text of the float rows, each row one group of lines: a line per
+    (prefix, count) item of layout, holding the row's next count values. One
+    %-template is built for a row and formatted over all rows at once."""
+    field, as_text, _ = _FLOAT_CODECS[codec]
+    template = "".join(prefix + " ".join([field] * count) + "\n" for prefix, count in layout)
+    values = np.asarray(rows, dtype=np.float64).ravel().tolist()
+    return template * len(rows) % tuple(values if as_text is None else map(as_text, values))
+
+
+def _decoded(decode, texts: list[str]) -> np.ndarray | None:
+    """The texts decoded into one float64 array, or None when one does not
+    decode."""
     try:
-        return decode(text)
+        return np.fromiter(map(decode, texts), np.float64, len(texts))
     except ValueError:
-        raise FormatError(f"bad coordinate {text!r}", line=line) from None
+        return None
+
+
+def _decoded_rows(decode, lines: list[str], width: int) -> np.ndarray | None:
+    """(len(lines), width) float64 array of lines of `width` whitespace-split
+    texts each, or None when a line holds another count or a text does not
+    decode. The lines are split as one text with a ';' line between each two:
+    as ';' never decodes, the ';'s falling every width + 1 texts means that
+    each line held width texts."""
+    if not lines:
+        return np.empty((0, width))
+    texts = "\n;\n".join(lines).split()
+    marks = texts[width :: width + 1]
+    if len(texts) != len(lines) * (width + 1) - 1 or marks.count(";") != len(marks):
+        return None
+    del texts[width :: width + 1]
+    values = _decoded(decode, texts)
+    return None if values is None else values.reshape(len(lines), width)
+
+
+def _bad_coordinate(decode, rows, lines, rank: int = 0):
+    """The fault (line, rank, message) of the first text of rows that does
+    not decode, rows[k] lying on line lines[k]; None when all decode."""
+    for row, line in zip(rows, lines):
+        for text in row:
+            try:
+                decode(text)
+            except ValueError:
+                return int(line), rank, f"bad coordinate {text!r}"
+    return None
+
+
+def _first_fault(*faults) -> FormatError:
+    """The FormatError of the first (line, rank, message) fault in file order;
+    rank orders the faults found on one line, and false entries are no fault."""
+    line, _, message = min(fault for fault in faults if fault)
+    return FormatError(message, line=line)
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +101,10 @@ def write_configuration(config: Configuration, path) -> None:
     dom = config.domain
     if dom.geometry not in (TORUS, BALL):
         raise FormatError("only torus and ball domains are serialized")
-    enc = _FLOAT_CODECS["decimal"][0]
     with open(path, "w") as fh:
-        fh.write(f"# d={dom.dimension} geometry={dom.geometry} size={enc(dom.size)}\n")
-        for row in config.points.tolist():
-            fh.write(" ".join(map(enc, row)) + "\n")
+        fh.write(f"# d={dom.dimension} geometry={dom.geometry} "
+                 f"size={_float_text('decimal', dom.size)}\n")
+        fh.write(_encoded("decimal", [("", dom.dimension)], config.points))
 
 
 def read_configuration(path) -> Configuration:
@@ -63,15 +117,16 @@ def read_configuration(path) -> Configuration:
         dom = Domain(int(fields["d"]), fields["geometry"], float(fields["size"]))
     except (KeyError, ValueError, DomainError) as exc:
         raise FormatError(f"bad header: {exc}", line=1) from None
-    pts = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        vals = [_decoded(float, v, i) for v in line.split()]
-        if len(vals) != dom.dimension:
-            raise FormatError(f"expected {dom.dimension} coordinates", line=i)
-        pts.append(vals)
-    return Configuration(np.asarray(pts).reshape(len(pts), dom.dimension), dom)
+    d = dom.dimension
+    points = _decoded_rows(float, list(filter(str.strip, lines[1:])), d)  # blank lines skipped
+    if points is None:
+        kept = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
+        rows = [lines[i - 1].split() for i in kept]
+        wrong = [i for i, row in zip(kept, rows) if len(row) != d]
+        # a line's values are decoded before its count is checked
+        raise _first_fault(_bad_coordinate(float, rows, kept),
+                           wrong and (wrong[0], 1, f"expected {d} coordinates"))
+    return Configuration(points, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +138,6 @@ def write_trajectory(traj: Trajectory, path, coord_format: str = "decimal") -> N
     N coordinate lines and a running-max line."""
     if coord_format not in _FLOAT_CODECS:
         raise ConfigError("coord_format must be 'decimal' or 'hex'")
-    enc = _FLOAT_CODECS[coord_format][0]
     dom = traj.domain
     buf = io.StringIO()
     buf.write("# ibm-sim trajectory\n")
@@ -91,24 +145,90 @@ def write_trajectory(traj: Trajectory, path, coord_format: str = "decimal") -> N
     buf.write(f"coord_format={coord_format}\n")
     buf.write("frame=lab\n")
     buf.write(f"d={dom.dimension}\ngeometry={dom.geometry}\n")
-    buf.write(f"size={enc(dom.size)}\n")
+    buf.write(f"size={_float_text(coord_format, dom.size)}\n")
     buf.write(f"n_particles={traj.n_particles}\nn_tagged={traj.n_tagged}\n")
     for f in fields(SimParams):
         value = getattr(traj.params, f.name)
         if f.type == "float":
-            value = enc(float(value))
+            value = _float_text(coord_format, float(value))
         buf.write(f"{f.name}={value}\n")
     for key, value in sorted(traj.provenance.items()):
         buf.write(f"prov.{key}={value}\n")
     buf.write("\n")
-    runmax = None if traj.running_max is None else traj.running_max.tolist()
-    for i, (t, snap) in enumerate(zip(traj.times.tolist(), traj.positions.tolist())):
-        buf.write(f"time={enc(t)}\n")
-        buf.write("".join(" ".join(map(enc, row)) + "\n" for row in snap))
-        if runmax is not None:
-            buf.write("runmax " + " ".join(map(enc, runmax[i])) + "\n")
+    frames, n, d = traj.positions.shape
+    layout = [("time=", 1)] + [("", d)] * n
+    columns = [traj.times.reshape(frames, 1), traj.positions.reshape(frames, n * d)]
+    if traj.running_max is not None:
+        layout.append(("runmax ", n))
+        columns.append(traj.running_max)
+    buf.write(_encoded(coord_format, layout, np.concatenate(columns, axis=1)))
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
+
+
+def _read_blocks(body: list[str], first: int, last: int, n: int, d: int, decode):
+    """Times, positions and running max (None without runmax lines) of the
+    snapshot blocks in body: the lines from line `first` on of a file of
+    `last` lines.
+
+    A block is a time= line, n coordinate lines and an optional runmax line,
+    and blank lines may lie between blocks. The layout is checked over the
+    whole body, then the times, coordinates and runmax values are decoded in
+    one pass each. A faulty body raises the FormatError of its first fault in
+    file order, found only once a check has failed.
+    """
+    size = len(body)
+    timed = np.flatnonzero(np.fromiter(map(str.startswith, body, repeat("time=")), bool, size))
+    # body indices of the time lines that start blocks, of the coordinate
+    # lines, of the runmax lines that end blocks and of the lines between
+    # blocks; a time= line among the n lines after the previous one is a
+    # coordinate line
+    starts = timed[np.diff(timed, prepend=-n - 1) > n]
+    slots = (starts[:, None] + np.arange(1, n + 1)).ravel()
+    truncated = slots.size > 0 and slots[-1] >= size
+    slots = slots[slots < size]
+    tails = starts + n + 1
+    tails = tails[tails < size]
+    tails = tails[np.fromiter(map(str.startswith, map(body.__getitem__, tails.tolist()),
+                                  repeat("runmax ")), bool, tails.size)]
+    gaps = np.ones(size, dtype=bool)
+    gaps[starts] = gaps[slots] = gaps[tails] = False
+    gaps = np.flatnonzero(gaps)
+
+    def lines_at(index):
+        return list(map(body.__getitem__, index.tolist()))
+
+    times = [line[5:] for line in lines_at(starts)]
+    coords = lines_at(slots)
+    runmax = [line[7:] for line in lines_at(tails)]
+    if (not truncated and tails.size in (0, starts.size)
+            and not any(map(str.strip, lines_at(gaps)))):
+        values = (_decoded(decode, times), _decoded_rows(decode, coords, d),
+                  _decoded_rows(decode, runmax, n))
+        if all(v is not None for v in values):
+            return (values[0], values[1].reshape(starts.size, n, d),
+                    values[2] if tails.size else None)
+
+    times = [[text] for text in times]
+    coords = list(map(str.split, coords))
+    runmax = list(map(str.split, runmax))
+
+    def first_at(index, bad, message):
+        hit = np.flatnonzero(bad)
+        return hit.size > 0 and (first + int(index[hit[0]]), 0, message(hit[0]))
+
+    raise _first_fault(
+        first_at(gaps, [bool(line.strip()) for line in lines_at(gaps)],
+                 lambda k: "expected a time= line"),
+        first_at(slots, [len(row) != d or row[0] == "runmax" for row in coords],
+                 lambda k: f"expected {d} coordinates for particle {k % n}"),
+        first_at(tails, [len(row) != n for row in runmax], lambda k: "runmax length mismatch"),
+        _bad_coordinate(decode, times, starts + first, rank=1),
+        _bad_coordinate(decode, coords, slots + first, rank=1),
+        _bad_coordinate(decode, runmax, tails + first, rank=1),
+        truncated and (last, 2, "truncated snapshot block"),
+        tails.size not in (0, starts.size) and (last, 3, "runmax blocks do not match snapshots"),
+    )
 
 
 def read_trajectory(path) -> Trajectory:
@@ -142,7 +262,7 @@ def read_trajectory(path) -> Trajectory:
     mode = header.get("coord_format", "decimal")
     if mode not in _FLOAT_CODECS:
         raise FormatError(f"unknown coord_format {mode!r}", line=2)
-    number = _FLOAT_CODECS[mode][1]
+    number = _FLOAT_CODECS[mode][2]
 
     def need(key, parse=str, default=None):
         text = header.get(key, default)
@@ -161,54 +281,24 @@ def read_trajectory(path) -> Trajectory:
     except ConfigError as exc:
         raise FormatError(str(exc), line=2) from None
 
-    times, snaps, runmax = [], [], []
-    i = body_start - 1
-    while i < len(lines):
-        line = lines[i]
-        if not line.strip():
-            i += 1
-            continue
-        if not line.startswith("time="):
-            raise FormatError("expected a time= line", line=i + 1)
-        times.append(_decoded(number, line[5:], i + 1))
-        block = []
-        for j in range(n):
-            if i + 1 + j >= len(lines):
-                raise FormatError("truncated snapshot block", line=len(lines))
-            row = lines[i + 1 + j].split()
-            if len(row) != dom.dimension or row[0] == "runmax":
-                raise FormatError(
-                    f"expected {dom.dimension} coordinates for particle {j}",
-                    line=i + 2 + j,
-                )
-            block.append([_decoded(number, v, i + 2 + j) for v in row])
-        snaps.append(block)
-        i += 1 + n
-        if i < len(lines) and lines[i].startswith("runmax "):
-            vals = lines[i].split()[1:]
-            if len(vals) != n:
-                raise FormatError("runmax length mismatch", line=i + 1)
-            runmax.append([_decoded(number, v, i + 1) for v in vals])
-            i += 1
-
-    if runmax and len(runmax) != len(times):
-        raise FormatError("runmax blocks do not match snapshots", line=len(lines))
+    times, positions, running_max = _read_blocks(lines[body_start - 1:], body_start, len(lines),
+                                                 n, dom.dimension, number)
     return Trajectory(
-        times=np.asarray(times),
-        positions=np.asarray(snaps).reshape(len(times), n, dom.dimension),
+        times=times,
+        positions=positions,
         domain=dom,
         params=params,
         n_tagged=need("n_tagged", int, default="0"),
-        running_max=np.asarray(runmax) if runmax else None,
+        running_max=running_max,
         provenance=provenance,
     )
 
 
 def trajectory_equal(a: Trajectory, b: Trajectory) -> bool:
-    """Bit-exact equality of the persisted content."""
+    """Bit-exact equality of the persisted content; NaN equals NaN."""
     return (
-        np.array_equal(a.times, b.times)
-        and np.array_equal(a.positions, b.positions)
+        np.array_equal(a.times, b.times, equal_nan=True)
+        and np.array_equal(a.positions, b.positions, equal_nan=True)
         and a.domain == b.domain
         and a.params == b.params
         and a.n_tagged == b.n_tagged
@@ -217,7 +307,7 @@ def trajectory_equal(a: Trajectory, b: Trajectory) -> bool:
             or (
                 a.running_max is not None
                 and b.running_max is not None
-                and np.array_equal(a.running_max, b.running_max)
+                and np.array_equal(a.running_max, b.running_max, equal_nan=True)
             )
         )
         and {str(k): str(v) for k, v in a.provenance.items()}

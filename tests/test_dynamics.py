@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -642,6 +643,52 @@ class TestBatch:
         params = SimParams(dt=1e-3, t_end=5e-3)
         self.assert_segments_match(ks, pot, params, [8, 9, 10])
         self.assert_segments_match(ks[2:], pot, params, [11])
+
+    @pytest.mark.parametrize("geometry", ["free", "torus"])
+    def test_strided_snapshots_across_running_max_blocks(self, geometry):
+        # the running max is reduced a block of steps at a time; run over two
+        # whole blocks and part of a third, with a stride that divides neither
+        rng = np.random.default_rng(17)
+        dom = Domain(2, geometry, 2.5)
+        initials = [self.state(rng, n, dom) for n in (13, 0, 27)]
+        block = dynamics._TRACK_NUMBERS // (40 * 2)
+        n_steps = 2 * block + 5
+        stride = 11
+        assert n_steps % block and block % stride and n_steps % stride
+        pot = self.POTENTIALS["ou-soft-core-cut"]
+        strided = SimParams(dt=1e-3, t_end=n_steps * 1e-3, stride=stride)
+        batch = self.assert_segments_match(initials, pot, strided, [5, 6, 7])
+        every = dynamics._simulate_batch(initials, pot, dataclasses.replace(strided, stride=1),
+                                         [5, 6, 7])
+        rows = np.append(np.arange(0, n_steps + 1, stride), n_steps)
+        for r in range(len(initials)):
+            for key in ("times", "positions", "running_max"):
+                assert_same_bits(getattr(batch[r], key), getattr(every[r], key)[rows])
+            if geometry == "free":
+                # no wrap: the unwrapped path is the path itself
+                path = every[r].positions
+                disp = np.sqrt(np.sum((path - path[0]) ** 2, axis=2))
+                assert_same_bits(every[r].running_max, np.maximum.accumulate(disp, axis=0))
+
+    def test_wide_batch_keeps_a_bounded_block(self):
+        # thm24's widest arm, 2000 replicas of 8 points, over 400 steps: a
+        # buffer of every step's 16 000 unwrapped points would take 49 MiB
+        rng = np.random.default_rng(24)
+        dom = Domain(1, "torus", 8.0)
+        initials = [self.state(rng, 8, dom) for _ in range(2000)]
+        params = SimParams(dt=1e-3, t_end=0.4, stride=200)
+        seeds = list(range(100, 2100))
+        tracemalloc.start()
+        try:
+            batch = dynamics._simulate_batch(initials, PotentialSpec(), params, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        for r in (0, 1234, 1999):
+            alone = simulate(initials[r], PotentialSpec(), dataclasses.replace(params, seed=seeds[r]))
+            for key in ("times", "positions", "running_max"):
+                assert_same_bits(getattr(batch[r], key), getattr(alone, key))
 
     def test_one_segment_batch_keeps_hard_core_handling(self):
         dom = Domain(1, "torus", 8.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ibmsim.configuration import Configuration, Domain, LabeledState
 from ibmsim.dynamics import SimParams, Trajectory, simulate
@@ -116,6 +117,35 @@ runmax 0.035584181059134634 0.086161025717874651
 """
 
 
+# values a path can carry: signed zeros, infinities, NaN (a blown-up path),
+# subnormals and magnitudes near the float range
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+                  1e300, -1e300, 1.7976931348623157e308]
+PATH_FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+def per_value_body(traj, mode):
+    """The snapshot blocks of a .traj file, encoded one value at a time."""
+    enc = {"decimal": "%.17g".__mod__, "hex": float.hex}[mode]
+    runmax = None if traj.running_max is None else traj.running_max.tolist()
+    out = []
+    for i, (t, snap) in enumerate(zip(traj.times.tolist(), traj.positions.tolist())):
+        out.append(f"time={enc(t)}\n")
+        out.extend(" ".join(map(enc, row)) + "\n" for row in snap)
+        if runmax is not None:
+            out.append("runmax " + " ".join(map(enc, runmax[i])) + "\n")
+    return "".join(out)
+
+
+def assert_same_floats(a, b):
+    """Bitwise equal, except that any NaN matches any NaN."""
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
 def small_trajectory(seed=3, coord_mode="decimal"):
     dom = Domain(1, "torus", 6.0)
     state = LabeledState([1.0, 2.5, 4.0], dom)
@@ -175,6 +205,46 @@ class TestTrajectoryFormat:
         write_trajectory(traj, path, coord_format=mode)
         back = read_trajectory(path)
         assert trajectory_equal(traj, back)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_matches_per_value_encoder(self, tmp_path_factory, data):
+        d, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 6))
+        frames = data.draw(st.integers(1, 6))
+        mode = data.draw(st.sampled_from(["decimal", "hex"]))
+        runmax = data.draw(st.booleans())
+        traj = Trajectory(
+            times=data.draw(hnp.arrays(np.float64, frames, elements=PATH_FLOATS)),
+            positions=data.draw(hnp.arrays(np.float64, (frames, n, d), elements=PATH_FLOATS)),
+            domain=Domain(d, "torus", 5.0),
+            params=SimParams(),
+            n_tagged=data.draw(st.integers(1, 6)),
+            running_max=(data.draw(hnp.arrays(np.float64, (frames, n), elements=PATH_FLOATS))
+                         if runmax else None),
+        )
+        path = tmp_path_factory.mktemp("traj") / "run.traj"
+        write_trajectory(traj, path, coord_format=mode)
+        body = path.read_text().split("\n\n", 1)[1]
+        assert body == per_value_body(traj, mode)
+        back = read_trajectory(path)
+        assert (back.domain, back.params, back.n_tagged) == (traj.domain, traj.params,
+                                                              traj.n_tagged)
+        assert_same_floats(back.times, traj.times)
+        assert_same_floats(back.positions, traj.positions)
+        if runmax:
+            assert_same_floats(back.running_max, traj.running_max)
+        else:
+            assert back.running_max is None
+
+    @pytest.mark.parametrize("mode", ["decimal", "hex"])
+    def test_blown_up_path_equals_itself(self, tmp_path, mode):
+        traj = Trajectory(times=np.array([0.0, 1e-3]),
+                          positions=np.array([[[1.0], [2.0]], [[np.nan], [2.5]]]),
+                          domain=Domain(1, "torus", 4.0), params=SimParams(),
+                          running_max=np.array([[0.0, 0.0], [np.nan, 0.5]]))
+        assert trajectory_equal(traj, traj)
+        write_trajectory(traj, tmp_path / "nan.traj", coord_format=mode)
+        assert trajectory_equal(traj, read_trajectory(tmp_path / "nan.traj"))
 
     def test_empty_trajectory(self, tmp_path):
         dom = Domain(1, "torus", 4.0)
@@ -246,6 +316,61 @@ class TestTrajectoryFormat:
         path = tmp_path / "bad.traj"
         assert text.count(old) == 1
         path.write_text(text.replace(old, new))
+        with pytest.raises(FormatError, match=re.escape(message)) as info:
+            read_trajectory(path)
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("text", [WRITTEN_DECIMAL, WRITTEN_HEX], ids=["decimal", "hex"])
+    def test_blank_lines_between_blocks_are_skipped(self, tmp_path, text):
+        blocks = text.split("\ntime=")
+        spaced = "\n\n \t\ntime=".join(blocks) + "\n  \n"
+        assert spaced.count("\n \t\n") == len(blocks) - 1
+        (tmp_path / "plain.traj").write_text(text)
+        (tmp_path / "spaced.traj").write_text(spaced)
+        assert trajectory_equal(read_trajectory(tmp_path / "plain.traj"),
+                                read_trajectory(tmp_path / "spaced.traj"))
+
+    @pytest.mark.parametrize("old, new, particle, line", [
+        ("time=0\n1\n", "time=0\n\n1\n", 0, 19),
+        ("\n1\n2.5\n", "\n1\n \n2.5\n", 1, 20),
+        ("\n2.4138389742821253\n", "\n\n2.4138389742821253\n", 1, 24),
+    ], ids=["first-particle", "whitespace-line", "second-block"])
+    def test_blank_line_inside_a_block_is_a_format_error(self, tmp_path, old, new, particle,
+                                                         line):
+        path = tmp_path / "bad.traj"
+        assert WRITTEN_DECIMAL.count(old) == 1
+        path.write_text(WRITTEN_DECIMAL.replace(old, new))
+        with pytest.raises(FormatError,
+                           match=f"expected 1 coordinates for particle {particle}") as info:
+            read_trajectory(path)
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("faults, message, line", [
+        ([("\n2.5\n", "\n2.5x\n"), ("runmax 0.0355", "runmax 0")],
+         "bad coordinate '2.5x'", 20),
+        ([("\n1\n", "\n1 1\n"), ("time=0.002", "time=soon")],
+         "expected 1 coordinates for particle 0", 19),
+        ([("time=0.002", "time=soon"), ("runmax 0.0355", "junk\nrunmax 0.0355")],
+         "bad coordinate 'soon'", 22),
+        ([("runmax 0 0", "runmax 0"), ("\n2.4138389742821253\n", "\nx\n")],
+         "runmax length mismatch", 21),
+        ([("\n2.4138389742821253\n", "\nx\n"),
+          ("runmax 0.035584181059134634 0.086161025717874651\n", "")],
+         "bad coordinate 'x'", 24),
+        ([("\n2.4138389742821253\n", "\n2.4138389742821253 1\n"),
+          ("runmax 0.035584181059134634 0.086161025717874651\n", "")],
+         "expected 1 coordinates for particle 1", 24),
+        ([("\n1\n", "\ntime=0.001\n"), ("time=0.002", "time=soon")],
+         "bad coordinate 'time=0.001'", 19),
+    ], ids=["value-then-length", "count-then-time", "time-then-stray", "length-then-value",
+            "value-then-truncated", "count-then-truncated", "time-line-as-particle"])
+    def test_first_of_two_body_faults_is_reported(self, tmp_path, faults, message, line):
+        text = WRITTEN_DECIMAL
+        for old, new in faults:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path = tmp_path / "bad.traj"
+        path.write_text(text)
         with pytest.raises(FormatError, match=re.escape(message)) as info:
             read_trajectory(path)
         assert info.value.line == line
