@@ -100,7 +100,7 @@ class Domain:
         """a - b, minimum-image on the torus."""
         diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
         if self.geometry == TORUS:
-            diff = diff - self.size * np.round(diff / self.size)
+            diff = diff - self.size * np.rint(diff / self.size)
         return diff
 
     def distance(self, a, b):

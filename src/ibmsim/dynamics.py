@@ -79,7 +79,12 @@ def _draws(seed, steps, labels: np.ndarray, d: int, round_key: int) -> np.ndarra
 
 # round-key-0 draws of one stream set for a block of consecutive steps:
 # ((seed or seed bytes, d, stream id bytes), first step, (steps, n, d) draws)
-_NOISE_BLOCK: tuple = (None, 0, np.empty((0, 0, 0)))
+_NO_BLOCK = (None, 0, np.empty((0, 0, 0)))
+_NOISE_BLOCK: tuple = _NO_BLOCK
+# the same for redraws, one entry per round key, the first-drawn dropped
+# once _REDRAW_KEYS keys are held
+_REDRAW_BLOCKS: dict[int, tuple] = {}
+_REDRAW_KEYS = 16
 _BLOCK_STEPS = 64
 _BLOCK_DRAWS = 4096
 # the integrator keeps the unwrapped positions of a block of steps for the
@@ -97,17 +102,17 @@ def label_noise(seed, step: int, labels, d: int, round_key: int = 0) -> np.ndarr
     permutes the path exactly, retries redraw without disturbing other
     streams, and one call draws for a batch of independent runs.
 
-    Round-key-0 draws are computed a block of consecutive steps at a time
-    (up to 64 steps and 4096 numbers) and served from a one-entry memo, bitwise
-    equal to drawing each step alone; redraws (round_key != 0) are computed
-    for their one step and leave the memo alone. The memo is single-threaded
-    module state: it is replaced whole, so concurrent callers still get the
+    Draws are computed a block of consecutive steps at a time (up to 64 steps
+    and 4096 numbers) and served from a memo, bitwise equal to drawing each
+    step alone: one entry for round key 0, and one per round key for redraws
+    (round_key != 0), at most 16 of them. The memo is single-threaded module
+    state: entries are replaced whole, so concurrent callers still get the
     right bits but evict each other's blocks.
     """
     global _NOISE_BLOCK
-    if np.isscalar(labels):
-        labels = np.arange(labels, dtype=np.uint64)
-    labels = np.asarray(labels, dtype=np.uint64)
+    if not (isinstance(labels, np.ndarray) and labels.dtype == np.uint64):
+        labels = (np.arange(labels, dtype=np.uint64) if np.isscalar(labels)
+                  else np.asarray(labels, dtype=np.uint64))
     if isinstance(seed, (int, np.integer)):
         seed_key = seed
     else:
@@ -115,15 +120,19 @@ def label_noise(seed, step: int, labels, d: int, round_key: int = 0) -> np.ndarr
         if seed.shape != labels.shape:
             raise ValueError(f"{seed.size} seeds for {labels.size} streams")
         seed_key = seed.tobytes()
-    if round_key != 0:
-        return _draws(seed, (step,), labels, d, round_key)[0]
     key = (seed_key, d, labels.tobytes())
-    memo_key, first, block = _NOISE_BLOCK
+    memo_key, first, block = (_NOISE_BLOCK if round_key == 0
+                              else _REDRAW_BLOCKS.get(round_key, _NO_BLOCK))
     if memo_key != key or not first <= step < first + len(block):
         n_steps = max(1, min(_BLOCK_STEPS, _BLOCK_DRAWS // max(1, labels.size * d)))
         first = step
-        block = _draws(seed, range(step, step + n_steps), labels, d, 0)
-        _NOISE_BLOCK = (key, first, block)
+        block = _draws(seed, range(step, step + n_steps), labels, d, round_key)
+        if round_key == 0:
+            _NOISE_BLOCK = (key, first, block)
+        else:
+            if round_key not in _REDRAW_BLOCKS and len(_REDRAW_BLOCKS) >= _REDRAW_KEYS:
+                del _REDRAW_BLOCKS[next(iter(_REDRAW_BLOCKS))]
+            _REDRAW_BLOCKS[round_key] = (key, first, block)
     return block[step - first].copy()
 
 
@@ -287,11 +296,17 @@ def _apply_boundary(points: np.ndarray, domain: Domain) -> np.ndarray:
     return points
 
 
+# a push sets one pair to exactly sigma and closes its neighbours' gaps, so a
+# cluster of three or four close rods can take hundreds of pushes (884 in one
+# 10-rod run)
+_REFLECT_PUSHES = 4096
+
+
 def _reflect_hard_core(points: np.ndarray, domain: Domain, sigma: float):
     out = points.copy()
     # the first offending pair in (i, j) order always has i < j
     i, j = _all_pairs(out.shape[0])
-    for _ in range(64):
+    for _ in range(_REFLECT_PUSHES):
         diff = domain.displacement(out[i], out[j])
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
         bad = np.flatnonzero(dist < sigma)
@@ -330,7 +345,8 @@ class _Stepper:
         n = sum(sizes)
         if len(sizes) == 1:
             self.seed = seeds[0]
-            self.streams = n if stream_labels[0] is None else stream_labels[0]
+            self.streams = (np.arange(n, dtype=np.uint64) if stream_labels[0] is None
+                            else np.array(stream_labels[0], dtype=np.uint64))
             self.segments = None
             tree = math.isfinite(potentials.r_cut) and n >= _TREE_MIN_POINTS
             self.radius = potentials.r_cut if tree else None  # None: all pairs
@@ -350,6 +366,14 @@ class _Stepper:
             self.segments = _Segments(np.repeat(np.arange(len(sizes)), sizes), len(sizes),
                                       pairs)
             self.radius = None
+        # no self potential and no pair force: the drift is -0.5 * zeros, all
+        # -0.0, and -0.0 * dt + y is y for every y while dt is finite
+        self.drift_free = (potentials.phi == "none" and not potentials.has_pair
+                           and math.isfinite(params.dt))
+        # the hard-core diameter, or None when no pair can overlap
+        self.sigma = (potentials.hard_core_sigma if potentials.has_hard_core and n >= 2
+                      else None)
+        self.reflect = params.hard_core_mode == "reflect"
         # capped forces: a count, or one count per segment
         self.capped = 0 if self.segments is None else np.zeros(len(sizes), dtype=np.int64)
         self.halvings = 0
@@ -357,29 +381,31 @@ class _Stepper:
         self.min_gap = math.inf  # over every accepted update, not just snapshots
 
     def advance(self, points, unwrapped, step_index, dt=None, noise_key=0, depth=0):
-        params = self.params
+        params, domain, sigma = self.params, self.domain, self.sigma
         dt = params.dt if dt is None else dt
-        n, d = points.shape
-        sigma = self.potentials.hard_core_sigma
-        drift, capped = _drift(points, self.domain, self.potentials, self.radius,
-                               self.segments)
-        self.capped += capped
+        d = points.shape[1]
+        if not self.drift_free:
+            drift, capped = _drift(points, domain, self.potentials, self.radius,
+                                   self.segments)
+            self.capped += capped
         sqrt_dt = math.sqrt(dt)
         for attempt in range(params.max_retries):
             key = noise_key * _KEY_BASE + attempt
             if key:
                 self.redraws += 1
-            incr = drift * dt + sqrt_dt * label_noise(self.seed, step_index, self.streams, d, key)
-            proposal = _apply_boundary(points + incr, self.domain)
-            if not self.potentials.has_hard_core or n < 2:
+            incr = sqrt_dt * label_noise(self.seed, step_index, self.streams, d, key)
+            if not self.drift_free:
+                incr = drift * dt + incr
+            proposal = _apply_boundary(points + incr, domain)
+            if sigma is None:
                 return proposal, unwrapped + incr
-            gap = _min_gap(proposal, self.domain)
+            gap = _min_gap(proposal, domain)
             if gap >= sigma:
                 self.min_gap = min(self.min_gap, gap)
                 return proposal, unwrapped + incr
-            if params.hard_core_mode == "reflect":
-                resolved = _reflect_hard_core(proposal, self.domain, sigma)
-                self.min_gap = min(self.min_gap, _min_gap(resolved, self.domain))
+            if self.reflect:
+                resolved = _reflect_hard_core(proposal, domain, sigma)
+                self.min_gap = min(self.min_gap, _min_gap(resolved, domain))
                 return resolved, unwrapped + incr + (resolved - proposal)
         if depth >= 8:
             raise StepRejected("hard-core rejection exhausted retries and halvings")

@@ -294,11 +294,19 @@ def read_trajectory(path) -> Trajectory:
     )
 
 
+def _same_bits(a, b) -> bool:
+    """Equal shapes and float64 bit patterns, any NaN equal to any NaN (so
+    0.0 and -0.0 differ, as their written texts do)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and bool(np.all(
+        (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))))
+
+
 def trajectory_equal(a: Trajectory, b: Trajectory) -> bool:
     """Bit-exact equality of the persisted content; NaN equals NaN."""
     return (
-        np.array_equal(a.times, b.times, equal_nan=True)
-        and np.array_equal(a.positions, b.positions, equal_nan=True)
+        _same_bits(a.times, b.times)
+        and _same_bits(a.positions, b.positions)
         and a.domain == b.domain
         and a.params == b.params
         and a.n_tagged == b.n_tagged
@@ -307,7 +315,7 @@ def trajectory_equal(a: Trajectory, b: Trajectory) -> bool:
             or (
                 a.running_max is not None
                 and b.running_max is not None
-                and np.array_equal(a.running_max, b.running_max, equal_nan=True)
+                and _same_bits(a.running_max, b.running_max)
             )
         )
         and {str(k): str(v) for k, v in a.provenance.items()}

@@ -119,24 +119,34 @@ class GibbsChain:
     def points(self) -> np.ndarray:
         return self._points
 
-    def _interaction(self, y: np.ndarray, others: np.ndarray) -> float:
-        """Sum of psi(y, x_j) over others, cut off at r_cut; inf on hard core."""
-        pot = self.spec.potentials
-        if others.shape[0] == 0:
-            return 0.0
-        dist = self.domain.distance(others, y)
-        if pot.has_hard_core and np.any(dist < pot.hard_core_sigma):
-            return math.inf
-        if not pot.has_pair:
-            return 0.0
-        near = dist[dist <= pot.r_cut]
-        if near.size == 0:
-            return 0.0
-        return float(np.sum(pot.pair_value(near)))
+    def _energies(self, ys: np.ndarray, pts: np.ndarray, skip: int | None = None) -> list:
+        """phi(y) + sum_j psi(y, x_j) for each row y of ys, over the rows x_j of
+        pts but slot skip, cut off at r_cut; inf on a hard-core overlap.
 
-    def _point_energy(self, y: np.ndarray, others: np.ndarray) -> float:
-        pot = self.spec.potentials
-        return float(pot.phi_value(y[None, :])[0]) + self._interaction(y, others)
+        The distances to every row are taken at once and the skipped slot's
+        column dropped, which leaves each row's terms in slot order."""
+        pot, dom = self.spec.potentials, self.domain
+        phi = pot.phi_value(ys).tolist()
+        if pts.shape[0] - (skip is not None) == 0:
+            return [v + 0.0 for v in phi]
+        dist = dom.distance(pts[None, :, :], ys[:, None, :])
+        if skip is not None:
+            dist = np.concatenate((dist[:, :skip], dist[:, skip + 1:]), axis=1)
+        out = []
+        for energy, row in zip(phi, dist):
+            if pot.has_hard_core and (row < pot.hard_core_sigma).any():
+                pair = math.inf
+            elif pot.has_pair and (near := row[row <= pot.r_cut]).size:
+                pair = float(pot.pair_value(near).sum())
+            else:
+                pair = 0.0
+            out.append(energy + pair)
+        return out
+
+    def _move_delta(self, pts: np.ndarray, idx: int, move: np.ndarray) -> float:
+        """Energy change of the move pts[idx] -> move[0]; move[1] is pts[idx]."""
+        new, old = self._energies(move, pts, idx)
+        return new - old
 
     def step(self) -> None:
         """One proposal: move with probability _MOVE_FRACTION, else birth/death."""
@@ -145,40 +155,38 @@ class GibbsChain:
         n = pts.shape[0]
         if n > 0 and rng.uniform() < _MOVE_FRACTION:
             self.proposed["move"] += 1
-            idx = rng.integers(n)
-            others = np.delete(pts, idx, axis=0)
-            proposal = pts[idx] + spec.proposal_scale * rng.normal(size=dom.dimension)
-            proposal = dom.wrap(proposal)
-            if not dom.contains(proposal[None, :]):
+            idx = int(rng.integers(n))
+            move = pts[[idx, idx]]  # the proposal, then the point it moves
+            move[0] = dom.wrap(move[0] + spec.proposal_scale * rng.normal(size=dom.dimension))
+            if not dom.contains(move[:1]):
                 return
-            delta = self._point_energy(proposal, others) - self._point_energy(pts[idx], others)
+            delta = self._move_delta(pts, idx, move)
             if math.log(rng.uniform()) < -spec.beta * delta:
                 new = pts.copy()
-                new[idx] = proposal
+                new[idx] = move[0]
                 self._points = new
                 self.accepts["move"] += 1
             return
         if rng.uniform() < 0.5:
             self.proposed["birth"] += 1
-            y = _uniform_points(rng, dom, 1)[0]
-            delta = self._point_energy(y, pts)
+            y = _uniform_points(rng, dom, 1)
+            delta = self._energies(y, pts)[0]
             log_ratio = (
                 math.log(spec.activity * dom.volume) - math.log(n + 1) - spec.beta * delta
             )
             if math.log(rng.uniform()) < log_ratio:
-                self._points = np.vstack([pts, y[None, :]])
+                self._points = np.concatenate((pts, y))
                 self.accepts["birth"] += 1
             return
         self.proposed["death"] += 1
         if n > 0:
-            idx = rng.integers(n)
-            others = np.delete(pts, idx, axis=0)
-            delta = -self._point_energy(pts[idx], others)
+            idx = int(rng.integers(n))
+            delta = -self._energies(pts[idx:idx + 1], pts, idx)[0]
             log_ratio = (
                 math.log(n) - math.log(spec.activity * dom.volume) - spec.beta * delta
             )
             if math.log(rng.uniform()) < log_ratio:
-                self._points = others
+                self._points = np.concatenate((pts[:idx], pts[idx + 1:]))
                 self.accepts["death"] += 1
 
     def run(self, n_steps: int) -> None:
@@ -228,11 +236,9 @@ def move_acceptance_probability(spec: GibbsSpec, domain: Domain,
     For symmetric move proposals the ratio alpha(s->s') / alpha(s'->s) equals
     exp(-beta (H(s') - H(s))) exactly; exposed for detailed-balance tests.
     """
-    chain = GibbsChain(spec, domain, 0)
-    others = np.delete(points, idx, axis=0)
-    delta = chain._point_energy(np.asarray(proposal, float), others) - chain._point_energy(
-        points[idx], others
-    )
+    points = np.asarray(points, float)
+    move = np.stack((np.asarray(proposal, float), points[idx]))
+    delta = GibbsChain(spec, domain, 0)._move_delta(points, idx, move)
     return min(1.0, math.exp(-spec.beta * delta))
 
 

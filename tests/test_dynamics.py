@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,57 @@ class TestNoiseBlocks:
         assert_same_bits(again, reference_noise(6, 10, 4, 2))
         assert not np.shares_memory(first, again)
 
+    def test_returned_redraw_is_a_fresh_copy(self):
+        first = label_noise(6, 10, 4, 2, 3)
+        first[:] = 0.0
+        assert_same_bits(label_noise(6, 10, 4, 2, 3), reference_noise(6, 10, 4, 2, 3))
+
+    # the round keys of the hard-core retries (attempts 1-3) and of the two
+    # half steps of a halving (noise_key * 131 + 101 or 102) and their retries
+    REDRAW_KEYS = (1, 2, 3, 101, 102, 101 * 131 + 1, 102 * 131 + 2)
+
+    @pytest.mark.parametrize("n,d", [(6, 1), (7, 3), (100, 2)])
+    def test_redraws_interleaved_with_key_zero(self, n, d):
+        # forward runs across block boundaries, with the redraw keys of the
+        # hard-core step in between, as a rejecting run calls them
+        rng = np.random.default_rng(43)
+        for s in range(1, 260):
+            keys = [0] + [int(k) for k in rng.choice(self.REDRAW_KEYS, rng.integers(0, 4))]
+            if s % 5 == 0:
+                keys.append(0)
+            for key in keys:
+                assert_same_bits(label_noise(19, s, n, d, key), reference_noise(19, s, n, d, key))
+
+    def test_redraws_with_a_seed_per_stream(self):
+        rng = np.random.default_rng(44)
+        seeds = [int(s) for s in rng.integers(-2**62, 2**62, size=5)]
+        labels = rng.permutation(8)[:5]
+        for s in [*range(1, 140), 70, 3, 200]:
+            for key in (0, *(int(k) for k in rng.choice(self.REDRAW_KEYS, 2))):
+                draw = label_noise(seeds, s, labels, 2, key)
+                for m, (seed, lab) in enumerate(zip(seeds, labels)):
+                    assert_same_bits(draw[m], reference_noise(seed, s, [lab], 2, key)[0])
+
+    def test_redraws_backward_and_after_other_streams(self):
+        rng = np.random.default_rng(45)
+        for s in [*range(150, 0, -3), *(int(x) for x in rng.permutation(300)[:80])]:
+            for seed, n in ((5, 4), (6, 4), (5, 9)):
+                key = int(rng.choice(self.REDRAW_KEYS))
+                assert_same_bits(label_noise(seed, s, n, 2, key),
+                                 reference_noise(seed, s, n, 2, key))
+
+    def test_redraw_memo_stays_bounded(self):
+        # 600 distinct round keys, each a fresh 64-step block of 64 streams
+        # (32 KiB each) if every key kept its block: 19 MiB unbounded
+        tracemalloc.start()
+        try:
+            for key in range(1, 601):
+                label_noise(3, 7, 64, 1, key)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 2**20
+
 
 class TestSimulate:
     def test_free_increments_are_gaussian(self):
@@ -434,6 +486,18 @@ class TestSimulate:
         for i in range(traj.n_snapshots):
             assert traj.configuration(i).min_pair_distance() >= 0.3 - 1e-12
 
+    def test_hard_core_reflect_resolves_a_dense_cluster(self):
+        # a cluster of three close rods needs hundreds of pair pushes: each
+        # push sets one pair to exactly sigma and closes its neighbours' gaps
+        dom = Domain(1, "torus", 8.0)
+        pot = PotentialSpec(psi="hard_core", hard_core_diameter=0.3)
+        state = LabeledState(np.arange(10)[:, None] * 0.8, dom)
+        params = SimParams(dt=1e-3, t_end=3.0, seed=4, stride=100, hard_core_mode="reflect")
+        traj = simulate(state, pot, params)
+        assert traj.diagnostics["min_pair_gap"] >= 0.3 - 1e-12
+        for i in range(traj.n_snapshots):
+            assert traj.configuration(i).min_pair_distance() >= 0.3 - 1e-12
+
     def test_ball_reflection_keeps_points_inside(self):
         dom = Domain(2, "ball", 1.5)
         state = LabeledState([[1.4, 0.0]], dom)
@@ -469,6 +533,80 @@ class TestSimulate:
         traj = simulate(state, PotentialSpec(), params)
         assert np.all(np.diff(traj.running_max, axis=0) >= 0)
         assert np.all(traj.running_max[0] == 0)
+
+
+def trajectory_digest(traj) -> str:
+    """SHA-256 of a path's times, positions, running max and diagnostics."""
+    h = hashlib.sha256()
+    for array in (traj.times, traj.positions, traj.running_max):
+        h.update(np.ascontiguousarray(array).tobytes())
+    h.update(repr(sorted(traj.diagnostics.items())).encode())
+    return h.hexdigest()
+
+
+class TestPinnedPaths:
+    """Single-state paths pinned by digest: the integrator's fast paths must
+    keep the bits of the plain Euler-Maruyama step."""
+
+    ROD = PotentialSpec(psi="hard_core", hard_core_diameter=0.3)
+
+    @staticmethod
+    def rods(n, spacing, size, d=1):
+        pts = np.full((n, d), 0.5)
+        pts[:, 0] = np.arange(n) * spacing + 0.2
+        return LabeledState(pts, Domain(d, "torus", size))
+
+    CASES = {
+        "hard-core-reject": (
+            lambda c: c.rods(6, 0.6, 4.0),
+            ROD, SimParams(dt=1e-3, t_end=0.3, seed=17, stride=7),
+            "d8aa4054dff9a3e9ec777873a737008a96787ad34cd059c6bc039d8c40b6cc34"),
+        "hard-core-reject-2d": (
+            lambda c: c.rods(6, 0.55, 3.3, d=2),
+            ROD, SimParams(dt=1e-3, t_end=0.1, seed=18, stride=3),
+            "3b66cdc2d74d9613e242d2a9100d0f1fa7e091ed9b0ac4103160552ce8e56601"),
+        "hard-core-reflect": (
+            lambda c: c.rods(10, 0.8, 8.0),
+            ROD, SimParams(dt=1e-3, t_end=0.2, seed=11, stride=5, hard_core_mode="reflect"),
+            "a9a7552fc7d64b9d2f4b6d5310a7498b4cf051d9c95c1310472957f10724a866"),
+        "halvings": (
+            lambda c: c.rods(10, 0.8, 8.0),
+            ROD, SimParams(dt=1e-3, t_end=0.05, seed=11, max_retries=3),
+            "a0bbcfbd68e017cf64ba79c34e22d71520424977eb857b1fd25f261b46aef9fa"),
+        "drift-free-free-domain": (
+            lambda c: LabeledState(np.random.default_rng(81).normal(size=(7, 2)),
+                                   Domain(2, "free", 3.0)),
+            PotentialSpec(), SimParams(dt=1e-2, t_end=0.5, seed=5, stride=3),
+            "76b8034a15b9876a6ae407db0e0a7ae60da41bb0d3b944598262c54f592d76b8"),
+        "drift-free-ball": (
+            lambda c: LabeledState([[1.4, 0.0], [0.0, -1.3], [0.2, 0.1]], Domain(2, "ball", 1.5)),
+            PotentialSpec(), SimParams(dt=1e-2, t_end=0.4, seed=15, stride=2),
+            "c3d9bcd682d719776bdd838f98ef636598d99d5596d97d4febcc25875f329a43"),
+        "harmonic-phi": (
+            lambda c: LabeledState([[-1.0], [0.3], [2.5], [0.31]], Domain(1, "free", 5.0)),
+            PotentialSpec(phi="harmonic", phi_strength=0.7),
+            SimParams(dt=1e-3, t_end=0.3, seed=6, stride=10),
+            "879a3d7f1eecc609a47460021eee702a678a8700a8374dd9cde0a433741c9ede"),
+        "soft-core-n5": (
+            lambda c: LabeledState(np.random.default_rng(82).uniform(0, 4, size=(5, 2)),
+                                   Domain(2, "torus", 4.0)),
+            PotentialSpec(psi="soft_core", psi_strength=0.9, psi_range=0.6, r_cut=2.0),
+            SimParams(dt=1e-3, t_end=0.3, seed=9, stride=4),
+            "614c54ebc3e1b2e39ee51f7502d7bcca7821778bd972fe2d05675b1e31b2d430"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_path_digest(self, case):
+        make, pot, params, digest = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # halvings warn
+            traj = simulate(make(self), pot, params)
+        diag = traj.diagnostics
+        if case.startswith("hard-core-reject"):
+            assert diag["noise_redraws"] > 0 and diag["step_halvings"] == 0
+        if case == "halvings":
+            assert diag["step_halvings"] > 0
+        assert trajectory_digest(traj) == digest
 
 
 class TestSimParams:

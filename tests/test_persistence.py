@@ -246,6 +246,22 @@ class TestTrajectoryFormat:
         write_trajectory(traj, tmp_path / "nan.traj", coord_format=mode)
         assert trajectory_equal(traj, read_trajectory(tmp_path / "nan.traj"))
 
+    @pytest.mark.parametrize("field", ["times", "positions", "running_max"])
+    def test_signed_zeros_differ(self, tmp_path, field):
+        # the writer keeps the sign of zero, so equality must too
+        def path(value):
+            arrays = {"times": np.array([0.0]), "positions": np.array([[[1.0]]]),
+                      "running_max": np.array([[0.5]])}
+            arrays[field] = np.full_like(arrays[field], value)
+            return Trajectory(domain=Domain(1, "torus", 4.0), params=SimParams(), **arrays)
+
+        plus, minus = path(0.0), path(-0.0)
+        assert not trajectory_equal(plus, minus)
+        assert trajectory_equal(minus, path(-0.0))
+        for traj, name in ((plus, "plus.traj"), (minus, "minus.traj")):
+            write_trajectory(traj, tmp_path / name)
+            assert trajectory_equal(traj, read_trajectory(tmp_path / name))
+
     def test_empty_trajectory(self, tmp_path):
         dom = Domain(1, "torus", 4.0)
         state = LabeledState([1.0], dom)

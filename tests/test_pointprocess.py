@@ -9,6 +9,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.spatial.distance import pdist
 from scipy.special import gammainc
 
+from ibmsim import pointprocess
 from ibmsim.configuration import Domain
 from ibmsim.errors import AcceptanceTooLow, ConfigError, NonConvergenceWarning, WindowTooLarge
 from ibmsim.pointprocess import (
@@ -26,6 +27,125 @@ from ibmsim.pointprocess import (
     sine_bulk_radius,
 )
 from ibmsim.potentials import PotentialSpec
+
+
+def reference_energy(chain, y, others):
+    """phi(y) plus the pair terms of y against others, as the chain once
+    computed it: Domain.distance on the rows left after np.delete."""
+    pot = chain.spec.potentials
+    energy = float(pot.phi_value(y[None, :])[0])
+    if others.shape[0] == 0:
+        return energy + 0.0
+    dist = chain.domain.distance(others, y)
+    if pot.has_hard_core and np.any(dist < pot.hard_core_sigma):
+        return energy + math.inf
+    if not pot.has_pair:
+        return energy + 0.0
+    near = dist[dist <= pot.r_cut]
+    if near.size == 0:
+        return energy + 0.0
+    return energy + float(np.sum(pot.pair_value(near)))
+
+
+def reference_step(chain):
+    """One proposal of GibbsChain as first written, kept as the reference for
+    the chain's stream: same rng calls, energies and accept decisions."""
+    spec, rng, dom = chain.spec, chain.rng, chain.domain
+    pts = chain._points
+    n = pts.shape[0]
+    if n > 0 and rng.uniform() < pointprocess._MOVE_FRACTION:
+        chain.proposed["move"] += 1
+        idx = rng.integers(n)
+        others = np.delete(pts, idx, axis=0)
+        proposal = pts[idx] + spec.proposal_scale * rng.normal(size=dom.dimension)
+        proposal = dom.wrap(proposal)
+        if not dom.contains(proposal[None, :]):
+            return
+        delta = reference_energy(chain, proposal, others) - reference_energy(chain, pts[idx],
+                                                                              others)
+        if math.log(rng.uniform()) < -spec.beta * delta:
+            new = pts.copy()
+            new[idx] = proposal
+            chain._points = new
+            chain.accepts["move"] += 1
+        return
+    if rng.uniform() < 0.5:
+        chain.proposed["birth"] += 1
+        y = pointprocess._uniform_points(rng, dom, 1)[0]
+        delta = reference_energy(chain, y, pts)
+        log_ratio = math.log(spec.activity * dom.volume) - math.log(n + 1) - spec.beta * delta
+        if math.log(rng.uniform()) < log_ratio:
+            chain._points = np.vstack([pts, y[None, :]])
+            chain.accepts["birth"] += 1
+        return
+    chain.proposed["death"] += 1
+    if n > 0:
+        idx = rng.integers(n)
+        others = np.delete(pts, idx, axis=0)
+        delta = -reference_energy(chain, pts[idx], others)
+        log_ratio = math.log(n) - math.log(spec.activity * dom.volume) - spec.beta * delta
+        if math.log(rng.uniform()) < log_ratio:
+            chain._points = others
+            chain.accepts["death"] += 1
+
+
+class TestGibbsStepStream:
+    """The chain's proposal keeps the stream of the reference step bitwise."""
+
+    SOFT = PotentialSpec(psi="soft_core", psi_strength=0.9, psi_range=0.6, r_cut=1.5)
+    HARD = PotentialSpec(psi="hard_core", hard_core_diameter=0.5)
+    LJ_HARMONIC = PotentialSpec(phi="harmonic", phi_strength=0.2, psi="lennard_jones",
+                                psi_strength=0.4, psi_range=0.5, r_cut=1.5)
+    CASES = {
+        "torus-1d-hard-core": (Domain(1, "torus", 8.0), HARD, 2.2, 0.5),
+        "torus-2d-hard-core": (Domain(2, "torus", 4.0), HARD, 1.5, 0.5),
+        "ball-1d-hard-core": (Domain(1, "ball", 4.0), HARD, 1.5, 0.8),
+        "ball-2d-hard-core": (Domain(2, "ball", 2.5), HARD, 1.2, 0.8),
+        "torus-1d-soft-core": (Domain(1, "torus", 10.0), SOFT, 1.5, 0.5),
+        "torus-2d-soft-core": (Domain(2, "torus", 4.0), SOFT, 1.5, 0.5),
+        "ball-1d-soft-core": (Domain(1, "ball", 5.0), SOFT, 1.5, 1.0),
+        "ball-2d-soft-core": (Domain(2, "ball", 2.5), SOFT, 1.5, 0.8),
+        "torus-3d-soft-core": (Domain(3, "torus", 2.5), SOFT, 1.0, 0.5),
+        "torus-1d-lj-harmonic": (Domain(1, "torus", 8.0), LJ_HARMONIC, 1.5, 0.5),
+        "torus-2d-lj-harmonic": (Domain(2, "torus", 4.0), LJ_HARMONIC, 1.2, 0.5),
+        "ball-1d-lj-harmonic": (Domain(1, "ball", 4.0), LJ_HARMONIC, 1.5, 0.8),
+        "ball-2d-lj-harmonic": (Domain(2, "ball", 2.5), LJ_HARMONIC, 1.2, 0.8),
+        "torus-2d-free": (Domain(2, "torus", 3.0), PotentialSpec(), 1.0, 0.5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_points_and_counts_after_every_proposal(self, case):
+        dom, pot, activity, scale = self.CASES[case]
+        spec = GibbsSpec(pot, activity=activity, proposal_scale=scale)
+        chain, ref = GibbsChain(spec, dom, seed=61), GibbsChain(spec, dom, seed=61)
+        for _ in range(1500):
+            chain.step()
+            reference_step(ref)
+            assert chain.points.tobytes() == ref.points.tobytes()
+            assert chain.points.shape == ref.points.shape
+        assert chain.proposed == ref.proposed and chain.accepts == ref.accepts
+        assert all(chain.accepts[move] > 0 for move in ("move", "birth", "death"))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_energies_match_the_reference(self, case):
+        # an energy off by one ulp rarely flips an accept decision, so the
+        # energies are compared on their own
+        dom, pot, _, _ = self.CASES[case]
+        chain = GibbsChain(GibbsSpec(pot), dom, seed=0)
+        rng = np.random.default_rng(62)
+        for n in (1, 2, 5, 9, 17, 30):
+            pts = pointprocess._uniform_points(rng, dom, n)
+            y = pointprocess._uniform_points(rng, dom, 1)
+            idx = int(rng.integers(n))
+            others = np.delete(pts, idx, axis=0)
+            want = (reference_energy(chain, y[0], others)
+                    - reference_energy(chain, pts[idx], others))
+            got = chain._move_delta(pts, idx, np.concatenate((y, pts[idx:idx + 1])))
+            birth, = chain._energies(y, pts)
+            death, = chain._energies(pts[idx:idx + 1], pts, idx)
+            assert np.array([got, birth, death]).tobytes() == np.array([
+                want, reference_energy(chain, y[0], pts),
+                reference_energy(chain, pts[idx], others)]).tobytes()
 
 
 class TestPoisson:
