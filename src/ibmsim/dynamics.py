@@ -77,6 +77,25 @@ def _draws(seed, steps, labels: np.ndarray, d: int, round_key: int) -> np.ndarra
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
 
 
+def child_seeds(seed: int, purpose: int, count: int) -> np.ndarray:
+    """uint64 seeds of `count` child streams, child i being one hash of
+    (seed, purpose, i): the children of one (seed, purpose) never repeat, and
+    two purposes share a child only by a 64-bit hash collision."""
+    with np.errstate(over="ignore"):
+        base = _mix64(_mix64(_seed_words([seed]) + _GOLDEN) ^ (_SALT_ROUND * _U64(purpose + 1)))
+        return _mix64(base + _GOLDEN * np.arange(1, count + 1, dtype=np.uint64))
+
+
+def _counter_bits(words: np.ndarray, first: int, steps: int, lanes: int) -> np.ndarray:
+    """(steps, len(words), lanes) uint64 hashes of (word, counter, lane) for
+    the counters first .. first + steps - 1: each uint64 word's stream depends
+    on nothing but that word."""
+    counters = np.arange(first + 1, first + steps + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        base = _mix64(words + _GOLDEN * counters[:, None])
+        return _mix64(base[:, :, None] ^ (_SALT_LANE * np.arange(1, lanes + 1, dtype=np.uint64)))
+
+
 # round-key-0 draws of one stream set for a block of consecutive steps:
 # ((seed or seed bytes, d, stream id bytes), first step, (steps, n, d) draws)
 _NO_BLOCK = (None, 0, np.empty((0, 0, 0)))

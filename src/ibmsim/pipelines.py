@@ -21,14 +21,14 @@ from .analysis import (
     paired_z,
     separation_weight,
 )
-from .configuration import FREE, Configuration, Domain, KLabeledState, _all_pairs, _min_gap, label
+from .configuration import Configuration, Domain, KLabeledState, _all_pairs, label
 from .cylinder import (
     Bump,
     Gaussian,
     LinearStatistic,
     random_cylinder,
 )
-from .dynamics import SimParams, _simulate_batch
+from .dynamics import SimParams, _simulate_batch, child_seeds
 from .errors import ConfigError
 from .forms import (
     EXACT_CAP,
@@ -53,11 +53,11 @@ from .potentials import PotentialSpec
 from .pointprocess import (
     DPPSpec,
     GibbsSpec,
-    make_gibbs_sampler,
+    LockstepChains,
     make_poisson_sampler,
-    palm_condition,
     sample_dyson_sine,
     sample_ginibre,
+    sample_poisson,
 )
 from .tagged import environment_process, environment_via_iota
 
@@ -105,7 +105,6 @@ activity = 1.25
 psi_strength = 0.6
 psi_range = 0.7
 burn_in = 20000
-thin = 50
 """,
     "dyson-correlations": """\
 [pipeline]
@@ -177,6 +176,8 @@ class PipelineResult:
     seed: int
     rows: list = field(default_factory=list)
     config_text: str = ""
+    # manifest-only facts of the run (routes, counts, stage wall times)
+    extra: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -229,21 +230,35 @@ def _items(sec, key: str, parse=int) -> list:
 
 def _path_functionals(positions: np.ndarray) -> dict[str, float]:
     """Five symmetric functionals of the unlabeled path (T, N, d) in free space."""
-    radii_sq = np.sum(positions**2, axis=2)
-    _, n, d = positions.shape
+    return {name: float(v[0]) for name, v in _batch_path_functionals(positions[None]).items()}
+
+
+def _batch_path_functionals(positions: np.ndarray) -> dict[str, np.ndarray]:
+    """_path_functionals of each path of the batch (R, T, N, d), one value per
+    path, with the bits of each path's own call: every reduction runs along
+    the axes, and in the order, that it takes on one path alone."""
+    radii_sq = np.sum(positions**2, axis=3)
+    r, _, n, _ = positions.shape
     i, j = _all_pairs(n)
     upper = i < j
-    gauss = np.exp(-np.sum((positions[:, i[upper]] - positions[:, j[upper]]) ** 2, axis=-1))
+    diff = positions[:, :, i[upper]] - positions[:, :, j[upper]]
+    gauss = np.exp(-np.sum(diff**2, axis=-1))
+    final = diff[:, -1]
     return {
-        "sum_sq_final": float(radii_sq[-1].sum()),
-        "min_gap_final": _min_gap(positions[-1], Domain(d, FREE)) if n > 1 else 0.0,
-        "mean_sum_sq": float(radii_sq.sum(axis=1).mean()),
-        "sup_radius": float(np.sqrt(radii_sq).max()),
-        "mean_gauss_pair": float(gauss.mean()) if n > 1 else 0.0,
+        "sum_sq_final": radii_sq[:, -1].sum(axis=1),
+        # the all-pairs minimum, which _min_gap's bits equal
+        "min_gap_final": (np.sqrt(np.sum(final * final, axis=-1)).min(axis=1) if n > 1
+                          else np.zeros(r)),
+        "mean_sum_sq": radii_sq.sum(axis=2).mean(axis=1),
+        "sup_radius": np.sqrt(radii_sq).max(axis=(1, 2)),
+        # a path's pair terms lie pair-major in memory, the layout its fancy
+        # index gives, and its mean adds them in that order
+        "mean_gauss_pair": (np.ascontiguousarray(gauss.transpose(0, 2, 1)).reshape(r, -1)
+                            .mean(axis=1) if n > 1 else np.zeros(r)),
     }
 
 
-def _run_thm24(cfg, seed: int) -> list[PipelineRow]:
+def _run_thm24(cfg, seed: int, extra: dict) -> list[PipelineRow]:
     sec = cfg["pipeline"]
     replicas = _count(sec, "replicas", least=2)
     n_values = _items(sec, "n_values")
@@ -275,11 +290,8 @@ def _run_thm24(cfg, seed: int) -> list[PipelineRow]:
             seeds = [seed * 4_000_037 + arm_index * 1_000_003 + n * 101 + rep
                      for rep in range(replicas)]
             trajs = _simulate_batch([state] * replicas, pot, params, seeds)
-            out = np.empty((replicas, len(names)))
-            for rep, traj in enumerate(trajs):
-                values = _path_functionals(traj.positions)
-                out[rep] = [values[name] for name in names]
-            return out
+            values = _batch_path_functionals(np.stack([traj.positions for traj in trajs]))
+            return np.stack([values[name] for name in names], axis=1)
 
         unlabeled = run_arm(0, k=0)
         for k in k_values:
@@ -295,15 +307,19 @@ def _run_thm24(cfg, seed: int) -> list[PipelineRow]:
     return rows
 
 
-def _run_thm27(cfg, seed: int) -> list[PipelineRow]:
+def _run_thm27(cfg, seed: int, extra: dict) -> list[PipelineRow]:
+    import time
+
     sec = cfg["pipeline"]
+    if "thin" in sec:
+        raise ConfigError("bad [pipeline] thin: thm27 draws each replica's Palm start "
+                          "from its own chain, so there is nothing to thin")
     replicas = _count(sec, "replicas", least=2)
     intensity = _real(sec, "intensity")
     size = _real(sec, "domain_size")
     params = SimParams(dt=_real(sec, "dt"), t_end=_real(sec, "t_end"),
                        stride=_count(sec, "stride"))
     dom = Domain(1, "torus", size)
-    delta = 0.01 / intensity
     origin = np.zeros((1, 1))
     observable = LinearStatistic(Gaussian(1.0, [0.0], 1.0))
 
@@ -325,32 +341,51 @@ def _run_thm27(cfg, seed: int) -> list[PipelineRow]:
         g1 = observable.value(np.zeros((0, 1)), _centered(env[-1], size))
         return worst, g0, g1
 
-    rows = []
-    setups = [("free", PotentialSpec(), make_poisson_sampler(dom, intensity, seed), replicas)]
+    # exact Palm starts at the origin, one child seed of (seed, arm, replica)
+    # each: Slivnyak's origin plus a fresh Poisson sample for the free arm,
+    # a Gibbs chain with a point pinned at the origin (GNZ) for the other
+    arms = [("free", PotentialSpec(), child_seeds(seed, 0, replicas), None)]
     psi_strength = _real(sec, "psi_strength", 0.0)
     if psi_strength > 0:
         n_interacting = (_count(sec, "interacting_replicas", least=2)
                          if "interacting_replicas" in sec else replicas)
         pot = PotentialSpec(psi="soft_core", psi_strength=psi_strength,
                             psi_range=_real(sec, "psi_range", 1.0), r_cut=3.0)
-        # the three chain keys thm27 reads, over its own burn-in and activity defaults
+        # the two chain keys thm27 reads, over its own burn-in and activity defaults
         chain = {"burn_in": 20000, "activity": intensity}
-        chain.update({key: sec[key] for key in ("activity", "burn_in", "thin") if key in sec})
+        chain.update({key: sec[key] for key in ("activity", "burn_in") if key in sec})
         spec = build_spec(GibbsSpec, chain, "[pipeline]", potentials=pot)
-        setups.append(("interacting", pot, make_gibbs_sampler(spec, dom, seed + 1),
-                       n_interacting))
+        chain_seeds = child_seeds(seed, 1, n_interacting)
+        arms.append(("interacting", pot, chain_seeds,
+                     LockstepChains(spec, dom, chain_seeds, pin=origin[0])))
 
-    for label_name, pot, sampler, n_reps in setups:
+    rows = []
+    for label_name, pot, palm_seeds, chains in arms:
+        n_reps = palm_seeds.size
+        started = time.perf_counter()
+        if chains is None:
+            states = [KLabeledState(origin, sample_poisson(dom, intensity, int(s)), validate=False)
+                      for s in palm_seeds]
+            record = {"palm_route": "slivnyak-poisson", "chains": 0, "burn_in": 0}
+        else:
+            chains.burn_in()
+            states = chains.palm_states()
+            record = {"palm_route": "pinned-gibbs-lockstep", "chains": n_reps,
+                      "burn_in": chains.spec.burn_in, "acceptance": chains.acceptance()}
+        record["palm_s"] = time.perf_counter() - started
         worst = 0.0
         starts, ends = np.empty(n_reps), np.empty(n_reps)
-        states = [palm_condition(sampler, origin, delta, seed=seed * 7919 + rep)
-                  for rep in range(n_reps)]
         seeds = [seed * 104729 + rep for rep in range(n_reps)]
+        started = time.perf_counter()
         trajs = _simulate_batch(states, pot, params, seeds)
+        record["simulate_s"] = time.perf_counter() - started
+        started = time.perf_counter()
         for rep, traj in enumerate(trajs):
             w, g0, g1 = environment_observable(traj)
             worst = max(worst, w)
             starts[rep], ends[rep] = g0, g1
+        record["observe_s"] = time.perf_counter() - started
+        extra[f"thm27-{label_name}"] = record
         z, _ = paired_z(ends, starts)
         rows.append(PipelineRow(f"pathwise-iota-identity-{label_name}", worst,
                                 "== 0", worst == 0.0))
@@ -380,7 +415,7 @@ def _rho2_rows(field: str, samples, edges, sec, n_grid: int, rho2) -> list[Pipel
     return rows
 
 
-def _run_dyson(cfg, seed: int) -> list[PipelineRow]:
+def _run_dyson(cfg, seed: int, extra: dict) -> list[PipelineRow]:
     sec = cfg["pipeline"]
     spec = build_spec(DPPSpec, sec, "[pipeline]", kernel="sine")
     replicas = _count(sec, "replicas")
@@ -405,7 +440,7 @@ def _run_dyson(cfg, seed: int) -> list[PipelineRow]:
                              lambda s: 1.0 - np.sinc(s) ** 2)
 
 
-def _run_ginibre(cfg, seed: int) -> list[PipelineRow]:
+def _run_ginibre(cfg, seed: int, extra: dict) -> list[PipelineRow]:
     sec = cfg["pipeline"]
     spec = build_spec(DPPSpec, sec, "[pipeline]", kernel="ginibre")
     replicas = _count(sec, "replicas")
@@ -419,7 +454,7 @@ def _run_ginibre(cfg, seed: int) -> list[PipelineRow]:
                              lambda s: (1.0 - np.exp(-s**2)) / math.pi**2)
 
 
-def _run_nonexplosion(cfg, seed: int) -> list[PipelineRow]:
+def _run_nonexplosion(cfg, seed: int, extra: dict) -> list[PipelineRow]:
     sec = cfg["pipeline"]
     d = sec.getint("dimension", 1)
     rate = _real(sec, "exponential_rate", 0.5)
@@ -473,7 +508,7 @@ def product_check(sampler_seed: int, seed: int, n_pointwise: int, n_samples: int
     )
 
 
-def _run_forms(cfg, seed: int) -> list[PipelineRow]:
+def _run_forms(cfg, seed: int, extra: dict) -> list[PipelineRow]:
     sec = cfg["pipeline"]
     # every count is checked before any work: a zero would pass checking nothing
     n_pairs = _count(sec, "iota_pairs")
@@ -583,8 +618,8 @@ def run_pipeline(name: str, config_text: str | None = None,
     import time as _time
 
     started = _time.time()
-    rows = _RUNNERS[name](cfg, run_seed)
-    result = PipelineResult(name=name, seed=run_seed, rows=rows, config_text=text)
+    result = PipelineResult(name=name, seed=run_seed, config_text=text)
+    result.rows = _RUNNERS[name](cfg, run_seed, result.extra)
 
     if out_dir is not None:
         import os
@@ -597,11 +632,11 @@ def run_pipeline(name: str, config_text: str | None = None,
             [f"ibm-sim report pipeline={name}", f"config_sha256={sha}",
              f"seed={run_seed}", f"manifest={name}.manifest.json"],
             ["check", "value", "threshold", "status"],
-            [r.as_tuple() for r in rows],
+            [r.as_tuple() for r in result.rows],
         )
         record = manifest({
             "config_text": text, "seed": run_seed, "started": started,
-            "finished": _time.time(), "outputs": [report_path],
+            "finished": _time.time(), "outputs": [report_path], "extra": result.extra,
         })
         write_manifest(record, os.path.join(out_dir, f"{name}.manifest.json"))
     return result

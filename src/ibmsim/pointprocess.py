@@ -2,6 +2,14 @@
 Gibbs via birth/death/move Metropolis-Hastings, random-matrix determinantal
 fields, and Palm conditioning by rejection.
 
+Gibbs samples come from one serial chain (`GibbsChain`), or from many
+independent chains stepped in lockstep (`LockstepChains`): R chains held as
+one (R, cap, d) array with a live count per row, each drawing from its own
+counter-based stream. A lockstep chain may carry a pinned point that is never
+moved, born or killed and acts on the others as an external field; by the
+GNZ equation such a chain samples the reduced Palm law at the pin exactly,
+with no delta-window and no rejection loop.
+
 The determinantal fields are the eigenvalues of an n_matrix x n_matrix random
 matrix restricted to a centered window: GUE for the sine-kernel field and
 complex Ginibre for the Ginibre field. n_matrix is the size of that finite-n
@@ -88,6 +96,27 @@ def sample_poisson(domain: Domain, intensity: float, seed: int) -> Configuration
     rng = np.random.default_rng(seed)
     n = rng.poisson(intensity * domain.volume)
     return Configuration(_uniform_points(rng, domain, n), domain, validate=False)
+
+
+def _burn_in(chain) -> None:
+    """Run a chain's spec.burn_in proposals; warn when the move acceptance of
+    the second half is below _ACCEPT_LO."""
+    # judge the burn-in's second half only: the fill-up from an empty
+    # configuration says nothing of the equilibrium move acceptance
+    half = chain.spec.burn_in // 2
+    chain.run(half)
+    moves, accepted = chain.proposed["move"], chain.accepts["move"]
+    chain.run(chain.spec.burn_in - half)
+    moves, accepted = chain.proposed["move"] - moves, chain.accepts["move"] - accepted
+    # births and deaths follow the activity, not a tunable step, so only
+    # the random-walk moves are judged
+    if moves >= 200 and accepted / moves < _ACCEPT_LO:
+        warnings.warn(
+            f"Gibbs move acceptance {accepted / moves:.3f} below {_ACCEPT_LO} over the "
+            f"last {moves} moves of the burn-in; try a proposal_scale below "
+            f"{chain.spec.proposal_scale}",
+            NonConvergenceWarning,
+        )
 
 
 class GibbsChain:
@@ -193,31 +222,11 @@ class GibbsChain:
         for _ in range(n_steps):
             self.step()
 
-    def _check_health(self, moves: int, accepted: int) -> None:
-        # births and deaths follow the activity, not a tunable step, so only
-        # the random-walk moves are judged
-        if moves < 200:
-            return
-        rate = accepted / moves
-        if rate < _ACCEPT_LO:
-            warnings.warn(
-                f"Gibbs move acceptance {rate:.3f} below {_ACCEPT_LO} over the last "
-                f"{moves} moves of the burn-in; try a proposal_scale below "
-                f"{self.spec.proposal_scale}",
-                NonConvergenceWarning,
-            )
-
     def sample(self) -> Configuration:
         """Burn in on first use, then advance `thin` proposals per sample."""
         if not self._burned:
-            # judge the burn-in's second half only: the fill-up from an empty
-            # configuration says nothing of the equilibrium move acceptance
-            half = self.spec.burn_in // 2
-            self.run(half)
-            moves, accepted = self.proposed["move"], self.accepts["move"]
-            self.run(self.spec.burn_in - half)
+            _burn_in(self)
             self._burned = True
-            self._check_health(self.proposed["move"] - moves, self.accepts["move"] - accepted)
         else:
             self.run(self.spec.thin)
         return Configuration(self._points.copy(), self.domain, validate=False)
@@ -226,6 +235,170 @@ class GibbsChain:
 def sample_gibbs(spec: GibbsSpec, domain: Domain, seed: int) -> Configuration:
     """One approximate Gibbs sample after the configured burn-in."""
     return GibbsChain(spec, domain, seed).sample()
+
+
+class LockstepChains:
+    """Independent birth/death/move chains for the Gibbs measure of `spec` on
+    a torus, one per seed, stepped together: the points are one (R, cap, d)
+    array with a live count per row, and one proposal is a handful of numpy
+    calls for all R chains.
+
+    Proposal t of a chain draws its uniforms and normals from the
+    counter-based stream (seed, t), and its energies sum the pair terms in
+    slot order, so each chain's path is bitwise the same in a batch of one as
+    in any batch. A proposal moves a point with probability _MOVE_FRACTION,
+    else adds or removes one with equal odds, whatever the count, so the
+    birth/death ratio is exact at every count; a move or death proposed in
+    an empty chain is a no-op and counts as no proposal.
+
+    With a pin x, slot 0 of every row holds x. It is never moved, born or
+    killed, and acts on the other points as the external field psi(. - x), so
+    each chain samples the Gibbs law with a point pinned at x: by the GNZ
+    equation, the reduced Palm law at x (Slivnyak's theorem is its Poisson
+    case)."""
+
+    # block sizes: at most this many stream numbers are drawn at once
+    _BLOCK_NUMBERS = 1 << 16
+
+    def __init__(self, spec: GibbsSpec, domain: Domain, seeds, pin=None):
+        from .dynamics import _seed_words
+
+        if domain.geometry != TORUS:
+            raise ConfigError("lockstep Gibbs chains need a torus")
+        if pin is not None and not domain.contains(pin):
+            raise ConfigError(f"pin {pin} lies outside the torus [0, {domain.size})")
+        self.spec = spec
+        self.domain = domain
+        self.seeds = _seed_words(seeds)
+        d = domain.dimension
+        self._pin = None if pin is None else np.asarray(pin, dtype=float).reshape(1, d)
+        self._first = 0 if pin is None else 1
+        self._points = np.zeros((self.seeds.size, self._first + 8, d))
+        if pin is not None:
+            self._points[:, 0] = self._pin
+        self.counts = np.zeros(self.seeds.size, dtype=np.int64)
+        self.steps = 0
+        self.proposed = dict.fromkeys(("move", "birth", "death"), 0)
+        self.accepts = dict.fromkeys(("move", "birth", "death"), 0)
+        self._log_zv = np.log(spec.activity * domain.volume)
+
+    def _energies(self, ys: np.ndarray, live: np.ndarray, skip: np.ndarray) -> np.ndarray:
+        """(R, 2) energies phi(y) + sum_j psi(y, x_j) of the two points ys[r]
+        (R, 2, d) against the live slots of chain r but slot skip[r], cut off
+        at r_cut and summed in slot order; inf on a hard-core overlap."""
+        pot, pts = self.spec.potentials, self._points
+        r, cap, d = pts.shape
+        slots = np.arange(cap)
+        mask = ((slots < live[:, None]) & (slots != skip[:, None]))[:, None, :]
+        dist = self.domain.distance(pts[:, None], ys[:, :, None])
+        energy = pot.phi_value(ys.reshape(-1, d)).reshape(r, 2)
+        if pot.has_pair:
+            terms = np.where(mask & (dist <= pot.r_cut), pot.pair_value(dist), 0.0)
+            # a running sum adds in slot order, so the empty slots past a
+            # row's live count add exact zeros whatever the batch's width
+            energy = energy + np.cumsum(terms, axis=2)[:, :, -1]
+        if pot.has_hard_core:
+            energy[(mask & (dist < pot.hard_core_sigma)).any(axis=2)] = np.inf
+        return energy
+
+    def _step(self, kind, index_bits, log_u, place, normal) -> tuple:
+        """One proposal in every chain; returns (move, birth, nonempty, accepted) masks."""
+        spec, pts, n = self.spec, self._points, self.counts
+        rows = np.arange(n.size)
+        live = self._first + n
+        move = kind <= _MOVE_FRACTION
+        birth = ~move & (kind <= 0.5 + 0.5 * _MOVE_FRACTION)
+        nonempty = n > 0
+        # a uniform movable slot: the high 32 bits times n, over 2^32
+        idx = self._first + ((index_bits * n.astype(np.uint64)) >> np.uint64(32)).astype(np.intp)
+        old = pts[rows, idx]
+        new = self.domain.wrap(np.where(move[:, None], old + spec.proposal_scale * normal, place))
+        energy = self._energies(np.stack((new, old), axis=1), live,
+                                np.where(birth, -1, idx))
+        e_new, e_old = energy[:, 0], energy[:, 1]
+        log_ratio = np.where(
+            move, -spec.beta * (e_new - e_old),
+            np.where(birth, self._log_zv - np.log(n + 1) - spec.beta * e_new,
+                     np.log(np.maximum(n, 1)) - self._log_zv + spec.beta * e_old))
+        accepted = (log_u < log_ratio) & (birth | nonempty)
+        if accepted.any():
+            grown = birth & accepted
+            if (live[grown] == pts.shape[1]).any():
+                pts = self._grow()
+            # a death moves the last live point into the killed slot
+            death = ~(move | birth)
+            value = np.where(death[:, None], pts[rows, live - 1], new)
+            slot = np.where(birth, live, idx)
+            pts[rows[accepted], slot[accepted]] = value[accepted]
+            n += grown
+            n -= death & accepted
+        return move, birth, nonempty, accepted
+
+    def _grow(self) -> np.ndarray:
+        r, cap, d = self._points.shape
+        wider = np.zeros((r, cap + max(4, cap // 4), d))
+        wider[:, :cap] = self._points
+        self._points = wider
+        return wider
+
+    def run(self, n_steps: int) -> None:
+        """Advance every chain by n_steps proposals."""
+        from .dynamics import _counter_bits
+
+        d, r = self.domain.dimension, self.seeds.size
+        # per proposal: kind, slot and accept uniforms, then 2d uniforms whose
+        # first d place a birth or, with the last d, make a move's normals
+        lanes = 3 + 2 * d
+        block = max(1, self._BLOCK_NUMBERS // max(1, r * lanes))
+        done = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while done < n_steps:
+                steps = min(block, n_steps - done)
+                bits = _counter_bits(self.seeds, self.steps, steps, lanes)
+                u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53  # in (0, 1]
+                log_u = np.log(u[:, :, 2])
+                place = self.domain.size * u[:, :, 3:3 + d]
+                normal = (np.sqrt(-2.0 * np.log(u[:, :, 3:3 + d]))
+                          * np.cos((2.0 * math.pi) * u[:, :, 3 + d:]))
+                index_bits = bits[:, :, 1] >> np.uint64(32)
+                flags = [self._step(u[t, :, 0], index_bits[t], log_u[t], place[t], normal[t])
+                         for t in range(steps)]
+                move, birth, nonempty, accepted = (np.array(f) for f in zip(*flags))
+                self._tally(move, birth, nonempty, accepted)
+                self.steps += steps
+                done += steps
+
+    def _tally(self, move, birth, nonempty, accepted) -> None:
+        death = ~(move | birth)
+        for name, proposed in (("move", move & nonempty), ("birth", birth),
+                               ("death", death & nonempty)):
+            self.proposed[name] += int(np.count_nonzero(proposed))
+            self.accepts[name] += int(np.count_nonzero(proposed & accepted))
+
+    def burn_in(self) -> None:
+        """Run spec.burn_in proposals in every chain, warning as GibbsChain
+        does when the pooled move acceptance is too low."""
+        _burn_in(self)
+
+    def acceptance(self) -> dict:
+        """Accepted share of the proposals of each move type so far."""
+        return {name: self.accepts[name] / self.proposed[name] if self.proposed[name] else 0.0
+                for name in self.proposed}
+
+    def configurations(self) -> list:
+        """Each chain's unpinned points, in slot order."""
+        first = self._first
+        return [Configuration(self._points[r, first:first + n].copy(), self.domain,
+                              validate=False)
+                for r, n in enumerate(self.counts.tolist())]
+
+    def palm_states(self) -> list:
+        """Each pinned chain as a KLabeledState: the pin tagged, its points
+        the background."""
+        if self._pin is None:
+            raise ConfigError("palm_states needs chains with a pin")
+        return [KLabeledState(self._pin, config, validate=False)
+                for config in self.configurations()]
 
 
 def move_acceptance_probability(spec: GibbsSpec, domain: Domain,

@@ -85,7 +85,6 @@ interacting_replicas = 3
 psi_strength = 0.6
 psi_range = 0.7
 burn_in = 500
-thin = 10
 """
 
 SMALL_CONFIGS = {"forms-suite": SMALL_FORMS, "thm24-identity": SMALL_THM24,
@@ -184,8 +183,7 @@ MALFORMED = [  # (command, config, section, key) with one value missing or not p
     ("pipeline", SMALL_THM24.replace("n_values = 3", "n_values = 3,x"), "pipeline", "n_values"),
     ("pipeline --name thm27-environment", SMALL_THM27.replace("burn_in = 500", "burn_in = lots"),
      "pipeline", "burn_in"),
-    ("pipeline --name thm27-environment", SMALL_THM27.replace("thin = 10", "thin = 1.5"),
-     "pipeline", "thin"),
+    ("pipeline --name thm27-environment", SMALL_THM27 + "thin = 1.5\n", "pipeline", "thin"),
 ]
 
 
@@ -234,7 +232,10 @@ class TestRejectedRequests:
 
     @pytest.mark.parametrize("key, value", [("burn_in", "-1"), ("thin", "0")])
     def test_thm27_gibbs_keys_out_of_range(self, tmp_path, capsys, key, value):
+        # thm27 has no thin at all: each replica's Palm start is its own chain
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", SMALL_THM27, flags=re.M)
+        if f"{key} = " not in text:
+            text += f"{key} = {value}\n"
         code, err = self.run(tmp_path, capsys, text, "pipeline", "--name", "thm27-environment")
         assert code == 2 and err.startswith("error: bad [pipeline]") and key in err
 
@@ -246,24 +247,63 @@ class TestThm27GibbsDefaults:
     def spec(self, monkeypatch, text):
         seen = []
 
-        def capture(spec, domain, seed):
+        def capture(spec, domain, seeds, pin=None):
             seen.append(spec)
             raise self.Stop
 
-        monkeypatch.setattr(pipelines, "make_gibbs_sampler", capture)
+        monkeypatch.setattr(pipelines, "LockstepChains", capture)
         with pytest.raises(self.Stop):
             pipelines.run_pipeline("thm27-environment", config_text=text)
         return seen[0]
 
     def test_omitted_keys_take_the_pipeline_defaults(self, monkeypatch):
-        text = re.sub(r"^(burn_in|thin|activity) = .*\n", "",
+        text = re.sub(r"^(burn_in|activity) = .*\n", "",
                       DEFAULT_CONFIGS["thm27-environment"], flags=re.M)
         spec = self.spec(monkeypatch, text)
-        assert (spec.burn_in, spec.thin, spec.activity) == (20000, 50, 1.25)  # = intensity
+        assert (spec.burn_in, spec.activity) == (20000, 1.25)  # = intensity
 
     def test_given_keys_are_read_and_no_others(self, monkeypatch):
         spec = self.spec(monkeypatch, SMALL_THM27 + "activity = 0.5\nbeta = 2.0\n")
-        assert (spec.burn_in, spec.thin, spec.activity, spec.beta) == (500, 10, 0.5, 1.0)
+        assert (spec.burn_in, spec.activity, spec.beta) == (500, 0.5, 1.0)
+
+
+class TestThm27PalmStarts:
+    class Stop(Exception):
+        pass
+
+    def test_default_config_repeats_no_palm_seed(self, monkeypatch):
+        # every child seed the default config draws, up to the chains' start
+        drawn, real = [], pipelines.child_seeds
+
+        def record(*args):
+            drawn.append(real(*args))
+            return drawn[-1]
+
+        def stop(spec, domain, seeds, pin=None):
+            assert np.array_equal(seeds, drawn[-1])
+            raise self.Stop
+
+        monkeypatch.setattr(pipelines, "child_seeds", record)
+        monkeypatch.setattr(pipelines, "LockstepChains", stop)
+        with pytest.raises(self.Stop):
+            pipelines.run_pipeline("thm27-environment")
+        seeds = np.concatenate(drawn)
+        assert [len(s) for s in drawn] == [250, 250]
+        assert np.unique(seeds).size == seeds.size
+
+    def test_manifest_records_each_arm(self, tmp_path):
+        pipelines.run_pipeline("thm27-environment", SMALL_THM27, out_dir=str(tmp_path))
+        extra = json.loads((tmp_path / "thm27-environment.manifest.json").read_text())["extra"]
+        free, chains = extra["thm27-free"], extra["thm27-interacting"]
+        assert (free["palm_route"], free["chains"], free["burn_in"]) == ("slivnyak-poisson", 0, 0)
+        assert (chains["palm_route"], chains["chains"], chains["burn_in"]) == (
+            "pinned-gibbs-lockstep", 3, 500)
+        assert set(chains["acceptance"]) == {"move", "birth", "death"}
+        for record in (free, chains):
+            assert all(record[key] >= 0 for key in ("palm_s", "simulate_s", "observe_s"))
+        # timings stay out of the report
+        text = (tmp_path / "thm27-environment.tsv").read_text()
+        assert not any(key in text for key in ("palm_s", "simulate_s", "observe_s", "acceptance"))
 
 
 class TestAnalyze:
@@ -419,8 +459,8 @@ class TestPipelineCommand:
         ("thm24-identity", {"replicas": 60},
          "895383ba8632ce83acd9f09f51cf67fb246d53f64fc7e3fb05c08e36b534dfdb"),
         ("thm27-environment",
-         {"replicas": 30, "interacting_replicas": 20, "burn_in": 2000, "thin": 20},
-         "f80cf93022b5ee32efb32f38797b3d985c15d5ecd62daa6c6e3e9f9a4e3d7f64"),
+         {"replicas": 30, "interacting_replicas": 20, "burn_in": 2000},
+         "d638e57515d8a47f0c159e819dbe624493f9ddbb4e28cd7f42c27f759f5ec507"),
     ], ids=["thm24", "thm27"])
     def test_pinned_report_digest(self, tmp_path, name, values, digest):
         # SHA-256 of the reports from the route that ran each replica alone

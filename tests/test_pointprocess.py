@@ -552,3 +552,208 @@ class TestPalm:
         sampler = make_poisson_sampler(dom, 0.5, seed=17)
         with pytest.raises(AcceptanceTooLow):
             palm_condition(sampler, [[0.0]], delta=1e-9, seed=0, max_draws=50)
+
+
+# ---------------------------------------------------------------------------
+# lockstep chains against Tonks' exact hard-rod law on a circle
+# ---------------------------------------------------------------------------
+
+TONKS_L, TONKS_SIGMA, TONKS_Z = 10.0, 0.5, 1.5
+TONKS_RHO1 = 0.638669  # E N / L of the grand-canonical rods below
+LOCKSTEP_CHAINS, LOCKSTEP_BURN_IN = 1000, 1000
+
+
+def tonks_count_law() -> np.ndarray:
+    """P(N = m), m = 0 .. L / sigma, for hard rods of diameter sigma on a
+    circle of length L at activity z: P(N) is proportional to
+    z^N / N! * L (L - N sigma)^(N - 1), the ordered-gap simplex volume."""
+    m = np.arange(int(TONKS_L / TONKS_SIGMA) + 1)
+    free = TONKS_L - m * TONKS_SIGMA
+    with np.errstate(divide="ignore"):
+        logw = (m * math.log(TONKS_Z) - np.array([math.lgamma(k + 1) for k in m])
+                + math.log(TONKS_L) + (m - 1) * np.log(np.where(free > 0, free, 0.0)))
+    logw[0] = 0.0
+    w = np.exp(logw - logw.max())
+    return w / w.sum()
+
+
+def tonks_palm_background_law() -> np.ndarray:
+    """P0(background count = m): the Palm count law is P0(N) ~ N P(N), and
+    the pin is one of the N rods."""
+    p = tonks_count_law()
+    m = np.arange(p.size)
+    palm = m * p / np.sum(m * p)
+    return palm[1:]
+
+
+def chi_square_pvalue(counts: np.ndarray, law: np.ndarray) -> float:
+    """Goodness of fit of the integer samples `counts` to `law` on 0 .. len-1,
+    the tails pooled until every bin expects at least 5."""
+    expected = law * counts.size
+    observed = np.bincount(counts, minlength=law.size)[:law.size].astype(float)
+    observed[-1] += np.count_nonzero(counts >= law.size)
+    edges = [0]
+    total = 0.0
+    for k, e in enumerate(expected):
+        total += e
+        if total >= 5 and expected[k + 1:].sum() >= 5:
+            edges.append(k + 1)
+            total = 0.0
+    edges.append(law.size)
+    obs = np.add.reduceat(observed, edges[:-1])
+    exp = np.add.reduceat(expected, edges[:-1])
+    return float(stats.chisquare(obs, exp).pvalue)
+
+
+def first_gap_pit(configs) -> np.ndarray:
+    """The gap from the origin to the next rod, sent through its law given N
+    rods with one at the origin: sigma + (L - N sigma) Beta(1, N - 1), whose
+    CDF makes it uniform on [0, 1]."""
+    out = []
+    for config in configs:
+        n = len(config) + 1
+        if n < 2:
+            continue
+        excess = (config.points[:, 0].min() - TONKS_SIGMA) / (TONKS_L - n * TONKS_SIGMA)
+        out.append(1.0 - (1.0 - excess) ** (n - 1))
+    return np.array(out)
+
+
+@pytest.fixture(scope="module")
+def tonks_chains():
+    """Burned-in lockstep hard-rod chains, unpinned and pinned at 0."""
+    from ibmsim.dynamics import child_seeds
+    from ibmsim.pointprocess import LockstepChains
+
+    dom = Domain(1, "torus", TONKS_L)
+    spec = GibbsSpec(PotentialSpec(psi="hard_core", hard_core_diameter=TONKS_SIGMA),
+                     activity=TONKS_Z, burn_in=LOCKSTEP_BURN_IN)
+    out = {}
+    for purpose, pin in ((0, None), (1, [0.0])):
+        chains = LockstepChains(spec, dom, child_seeds(21, purpose, LOCKSTEP_CHAINS), pin=pin)
+        chains.burn_in()
+        out["free" if pin is None else "pinned"] = chains
+    return out
+
+
+class TestLockstepTonks:
+    """Gates fixed before their first run: |z| < 4, and p > 1e-3 for the
+    chi-square and KS tests; the unpinned controls must fall outside them."""
+
+    def test_law_is_tonks(self):
+        p = tonks_count_law()
+        assert np.sum(np.arange(p.size) * p) / TONKS_L == pytest.approx(TONKS_RHO1, abs=1e-6)
+
+    def test_unpinned_density_matches_tonks(self, tonks_chains):
+        counts = tonks_chains["free"].counts
+        p = tonks_count_law()
+        m = np.arange(p.size)
+        sd = math.sqrt(np.sum(m * m * p) - np.sum(m * p) ** 2)
+        z = (counts.mean() / TONKS_L - TONKS_RHO1) / (sd / TONKS_L / math.sqrt(counts.size))
+        assert abs(z) < 4, z
+
+    def test_pinned_count_is_the_palm_law(self, tonks_chains):
+        law = tonks_palm_background_law()
+        assert chi_square_pvalue(tonks_chains["pinned"].counts, law) > 1e-3
+        # negative control: the unpinned count is not the Palm background count
+        assert chi_square_pvalue(tonks_chains["free"].counts, law) < 1e-3
+
+    def test_pinned_first_gap_is_the_palm_gap(self, tonks_chains):
+        pinned = first_gap_pit(tonks_chains["pinned"].configurations())
+        assert stats.kstest(pinned, "uniform").pvalue > 1e-3
+        # negative control: seen from 0, unpinned rods are not pinned there
+        free = first_gap_pit(tonks_chains["free"].configurations())
+        assert stats.kstest(free, "uniform").pvalue < 1e-3
+
+    def test_pin_stays_and_rods_never_overlap(self, tonks_chains):
+        chains = tonks_chains["pinned"]
+        assert np.all(chains._points[:, 0] == 0.0)
+        dom = Domain(1, "torus", TONKS_L)
+        for state in chains.palm_states()[:100]:
+            assert np.array_equal(state.tagged, [[0.0]])
+            everyone = np.vstack((state.tagged, state.background.points))
+            gaps = dom.distance(everyone[:, None], everyone[None, :])
+            assert np.all(gaps[~np.eye(len(everyone), dtype=bool)] >= TONKS_SIGMA)
+
+
+class TestLockstepChains:
+    @staticmethod
+    def thm27_spec(burn_in=1500):
+        pot = PotentialSpec(psi="soft_core", psi_strength=0.6, psi_range=0.7, r_cut=3.0)
+        return GibbsSpec(pot, activity=1.25, burn_in=burn_in)
+
+    def test_batch_of_one_gives_the_same_bits(self):
+        from ibmsim.dynamics import child_seeds
+        from ibmsim.pointprocess import LockstepChains
+
+        dom = Domain(1, "torus", 8.0)
+        seeds = child_seeds(5, 0, 6)
+        batch = LockstepChains(self.thm27_spec(), dom, seeds, pin=[0.0])
+        batch.burn_in()
+        for seed, got in zip(seeds, batch.configurations()):
+            alone = LockstepChains(self.thm27_spec(), dom, [seed], pin=[0.0])
+            alone.burn_in()
+            assert alone._points.shape[1] <= batch._points.shape[1]
+            assert alone.configurations()[0].points.tobytes() == got.points.tobytes()
+
+    def test_move_type_tallies(self):
+        from ibmsim.pointprocess import LockstepChains
+
+        chains = LockstepChains(self.thm27_spec(), Domain(1, "torus", 8.0), [1, 2, 3])
+        chains.run(400)
+        assert chains.steps == 400
+        assert sum(chains.proposed.values()) <= 3 * 400
+        births = chains.accepts["birth"] - chains.accepts["death"]
+        assert births == chains.counts.sum()
+        assert set(chains.acceptance()) == {"move", "birth", "death"}
+
+    def test_stuck_moves_warn(self):
+        from ibmsim.pointprocess import LockstepChains
+
+        # the serial chain's overshooting case: dense disks, a step of 50
+        spec = GibbsSpec(PotentialSpec(psi="hard_core", hard_core_diameter=0.6),
+                         activity=1000.0, burn_in=10_000, proposal_scale=50.0)
+        chains = LockstepChains(spec, Domain(2, "torus", 4.0), [7, 8])
+        with pytest.warns(NonConvergenceWarning, match="proposal_scale below 50"):
+            chains.burn_in()
+
+    def test_healthy_burn_in_is_quiet(self):
+        from ibmsim.pointprocess import LockstepChains
+
+        chains = LockstepChains(self.thm27_spec(), Domain(1, "torus", 8.0), [1, 2], pin=[0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chains.burn_in()
+
+    def test_needs_a_torus_and_a_pin_for_palm_states(self):
+        from ibmsim.pointprocess import LockstepChains
+
+        with pytest.raises(ConfigError):
+            LockstepChains(self.thm27_spec(), Domain(1, "ball", 4.0), [1])
+        with pytest.raises(ConfigError):
+            LockstepChains(self.thm27_spec(), Domain(1, "torus", 8.0), [1], pin=[8.0])
+        with pytest.raises(ConfigError):
+            LockstepChains(self.thm27_spec(), Domain(1, "torus", 8.0), [1]).palm_states()
+
+
+def test_pinned_chains_agree_with_delta_rejection():
+    """palm_condition stays as the oracle of the pinned chains on thm27's
+    interacting field: the mean Palm background count of the two routes by a
+    two-sample z (gate |z| < 4, fixed before its first run). At a fixed
+    window delta, the count's rejection bias is O(delta^2) on the torus."""
+    from ibmsim.dynamics import child_seeds
+    from ibmsim.pointprocess import LockstepChains, make_gibbs_sampler
+
+    dom = Domain(1, "torus", 8.0)
+    pot = PotentialSpec(psi="soft_core", psi_strength=0.6, psi_range=0.7, r_cut=3.0)
+    spec = GibbsSpec(pot, activity=1.25, burn_in=2000, thin=20)
+    rejection = []
+    for k in range(8):
+        sampler = make_gibbs_sampler(spec, dom, seed=400 + k)
+        rejection += [len(palm_condition(sampler, [[0.0]], delta=0.05, seed=s).background)
+                      for s in range(25)]
+    chains = LockstepChains(spec, dom, child_seeds(400, 0, 200), pin=[0.0])
+    chains.burn_in()
+    a, b = np.array(rejection, float), chains.counts.astype(float)
+    z = (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    assert abs(z) < 4, z
