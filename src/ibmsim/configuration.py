@@ -169,10 +169,12 @@ def _close_pairs(points: np.ndarray, domain: Domain, radius: float | None):
     pairs when None)."""
     if radius is None:
         return _all_pairs(points.shape[0])
-    half = _tree_pairs(_tree(points, domain), radius)
-    i, j = np.concatenate([half, half[:, ::-1]]).T
-    order = np.lexsort((j, i))
-    return i[order], j[order]
+    n = points.shape[0]
+    i, j = _tree_pairs(_tree(points, domain), radius).T
+    # the pairs are distinct, so one sort of the keys i * n + j orders them
+    keys = np.concatenate([i * n + j, j * n + i])
+    keys.sort()
+    return np.divmod(keys, n)
 
 
 def _min_gap(points: np.ndarray, domain: Domain) -> float:

@@ -32,13 +32,22 @@ from .potentials import PotentialSpec
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN_INT = 0x9E3779B97F4A7C15
-_GOLDEN = _U64(_GOLDEN_INT)
-_MIX1 = _U64(0xBF58476D1CE4E5B9)
-_MIX2 = _U64(0x94D049BB133111EB)
-_SALT_LABEL = _U64(0xD6E8FEB86659FD93)
-_SALT_LANE = _U64(0xA0761D6478BD642F)
-_SALT_ROUND = _U64(0xE7037ED1A0B428DB)
-_SALT_U2 = _U64(0x8EBC6AF09C88C6E3)
+
+
+def _word(value: int) -> np.ndarray:
+    # a 0-d uint64 array, which numpy's operators take faster than a uint64
+    # scalar
+    return np.array(value, dtype=np.uint64)
+
+
+_GOLDEN = _word(_GOLDEN_INT)
+_MIX1 = _word(0xBF58476D1CE4E5B9)
+_MIX2 = _word(0x94D049BB133111EB)
+_SALT_LABEL = _word(0xD6E8FEB86659FD93)
+_SALT_LANE = _word(0xA0761D6478BD642F)
+_SALT_ROUND = _word(0xE7037ED1A0B428DB)
+_SALT_U2 = _word(0x8EBC6AF09C88C6E3)
+_ONE, _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = map(_word, (1, 11, 27, 30, 31))
 _TWO_PI = 2.0 * math.pi
 # round keys are base-_KEY_BASE digit strings of halving paths and attempts
 _KEY_BASE = 131
@@ -47,9 +56,9 @@ _KEY_BASE = 131
 def _mix64(z: np.ndarray) -> np.ndarray:
     # modular uint64 arithmetic: overflow wrap is the point; callers hold
     # the errstate guard so the hot path pays for it once
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+    z = (z ^ (z >> _SHIFT30)) * _MIX1
+    z = (z ^ (z >> _SHIFT27)) * _MIX2
+    return z ^ (z >> _SHIFT31)
 
 
 def _seed_words(seeds) -> np.ndarray:
@@ -59,21 +68,26 @@ def _seed_words(seeds) -> np.ndarray:
     return np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
 
 
-def _draws(seed, steps, labels: np.ndarray, d: int, round_key: int) -> np.ndarray:
-    """(len(steps), n, d) standard normals for the uint64 stream ids labels;
-    seed is an int, or a uint64 array with one seed per stream."""
+def _draws(seed, first: int, count: int, labels: np.ndarray, d: int,
+           round_key) -> np.ndarray:
+    """(count, n, d) standard normals of the steps first .. first + count - 1
+    for the uint64 stream ids labels; seed is an int, or a uint64 array with
+    one seed per stream. round_key is an int, or an array of K round keys for
+    (K, count, n, d) normals."""
     words = seed if isinstance(seed, np.ndarray) else _seed_words([seed])
-    offsets = np.array([(_GOLDEN_INT * (s + 1)) & _MASK64 for s in steps], dtype=np.uint64)
     lanes = np.arange(d, dtype=np.uint64)
+    rounds = _SALT_ROUND * (np.asarray(round_key, dtype=np.uint64) + _ONE)
     with np.errstate(over="ignore"):
+        # the counter of step s is golden * (s + 1) mod 2**64
+        offsets = _GOLDEN * (np.arange(count, dtype=np.uint64) + _U64((first + 1) & _MASK64))
         base = _mix64(offsets[:, None] + words)  # (steps, 1), or (steps, n): seed per stream
-        base = _mix64(base ^ (_SALT_ROUND * _U64(round_key + 1)))[:, :, None]
-        h = _mix64(base ^ (_SALT_LABEL * (labels + _U64(1)))[:, None])
-        h = _mix64(h ^ (_SALT_LANE * (lanes + _U64(1))))
-        u1_bits = _mix64(h + _GOLDEN)
-        u2_bits = _mix64(h ^ _SALT_U2)
-    u1 = ((u1_bits >> _U64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (u2_bits >> _U64(11)).astype(np.float64) * 2.0**-53
+        base = _mix64(base ^ rounds[..., None, None])[..., None]
+        h = _mix64(base ^ (_SALT_LABEL * (labels + _ONE))[:, None])
+        h = _mix64(h ^ (_SALT_LANE * (lanes + _ONE)))
+        bits = _mix64(np.stack([h + _GOLDEN, h ^ _SALT_U2]))  # u1's bits, then u2's
+    u = (bits >> _SHIFT11).astype(np.float64)
+    u1 = (u[0] + 1.0) * 2.0**-53
+    u2 = u[1] * 2.0**-53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
 
 
@@ -101,9 +115,11 @@ def _counter_bits(words: np.ndarray, first: int, steps: int, lanes: int) -> np.n
 _NO_BLOCK = (None, 0, np.empty((0, 0, 0)))
 _NOISE_BLOCK: tuple = _NO_BLOCK
 # the same for redraws, one entry per round key, the first-drawn dropped
-# once _REDRAW_KEYS keys are held
+# once _REDRAW_KEYS keys are held; a missing key is drawn with the next
+# _REDRAW_BATCH - 1 keys, the further attempts of the same step
 _REDRAW_BLOCKS: dict[int, tuple] = {}
 _REDRAW_KEYS = 16
+_REDRAW_BATCH = 4
 _BLOCK_STEPS = 64
 _BLOCK_DRAWS = 4096
 # the integrator keeps the unwrapped positions of a block of steps for the
@@ -124,10 +140,18 @@ def label_noise(seed, step: int, labels, d: int, round_key: int = 0) -> np.ndarr
     Draws are computed a block of consecutive steps at a time (up to 64 steps
     and 4096 numbers) and served from a memo, bitwise equal to drawing each
     step alone: one entry for round key 0, and one per round key for redraws
-    (round_key != 0), at most 16 of them. The memo is single-threaded module
+    (round_key != 0), at most 16 of them, a missing key drawn together with
+    the next three. The memo is single-threaded module
     state: entries are replaced whole, so concurrent callers still get the
     right bits but evict each other's blocks.
     """
+    first, block = _noise_block(seed, step, labels, d, round_key)
+    return block[step - first].copy()
+
+
+def _noise_block(seed, step: int, labels, d: int, round_key: int = 0):
+    """(first step, draws) of the memo block that holds step's label_noise
+    draws; the block is read-only to callers."""
     global _NOISE_BLOCK
     if not (isinstance(labels, np.ndarray) and labels.dtype == np.uint64):
         labels = (np.arange(labels, dtype=np.uint64) if np.isscalar(labels)
@@ -143,16 +167,22 @@ def label_noise(seed, step: int, labels, d: int, round_key: int = 0) -> np.ndarr
     memo_key, first, block = (_NOISE_BLOCK if round_key == 0
                               else _REDRAW_BLOCKS.get(round_key, _NO_BLOCK))
     if memo_key != key or not first <= step < first + len(block):
-        n_steps = max(1, min(_BLOCK_STEPS, _BLOCK_DRAWS // max(1, labels.size * d)))
         first = step
-        block = _draws(seed, range(step, step + n_steps), labels, d, round_key)
+        keys = 1 if round_key == 0 else _REDRAW_BATCH
+        n_steps = max(1, min(_BLOCK_STEPS, _BLOCK_DRAWS // max(1, labels.size * d * keys)))
         if round_key == 0:
+            block = _draws(seed, step, n_steps, labels, d, 0)
             _NOISE_BLOCK = (key, first, block)
         else:
-            if round_key not in _REDRAW_BLOCKS and len(_REDRAW_BLOCKS) >= _REDRAW_KEYS:
-                del _REDRAW_BLOCKS[next(iter(_REDRAW_BLOCKS))]
-            _REDRAW_BLOCKS[round_key] = (key, first, block)
-    return block[step - first].copy()
+            blocks = _draws(seed, step, n_steps, labels, d,
+                            np.arange(round_key, round_key + keys, dtype=np.uint64))
+            # the asked key goes in last, so that it is the last of them dropped
+            for held in range(round_key + keys - 1, round_key - 1, -1):
+                if held not in _REDRAW_BLOCKS and len(_REDRAW_BLOCKS) >= _REDRAW_KEYS:
+                    del _REDRAW_BLOCKS[next(iter(_REDRAW_BLOCKS))]
+                block = blocks[held - round_key]
+                _REDRAW_BLOCKS[held] = (key, first, block)
+    return first, block
 
 
 @dataclass(frozen=True)
@@ -315,6 +345,12 @@ def _apply_boundary(points: np.ndarray, domain: Domain) -> np.ndarray:
     return points
 
 
+# a run is tried after an advance only when the gap it left exceeds sigma by
+# this many noise scales sqrt(dt): from closer, a run is more likely to stop
+# within a step or two than to pay for itself
+_RUN_MARGIN = 2.0
+
+
 # a push sets one pair to exactly sigma and closes its neighbours' gaps, so a
 # cluster of three or four close rods can take hundreds of pushes (884 in one
 # 10-rod run)
@@ -393,11 +429,18 @@ class _Stepper:
         self.sigma = (potentials.hard_core_sigma if potentials.has_hard_core and n >= 2
                       else None)
         self.reflect = params.hard_core_mode == "reflect"
+        # one state of drift-free 1-d hard rods steps in runs (see run); a
+        # run is tried after an advance only from a gap this wide
+        self.runs = (self.drift_free and self.sigma is not None and self.segments is None
+                     and domain.dimension == 1)
+        if self.runs:
+            self.run_gap = self.sigma + _RUN_MARGIN * math.sqrt(params.dt)
         # capped forces: a count, or one count per segment
         self.capped = 0 if self.segments is None else np.zeros(len(sizes), dtype=np.int64)
         self.halvings = 0
         self.redraws = 0  # attempts drawn with a non-zero round key
         self.min_gap = math.inf  # over every accepted update, not just snapshots
+        self.gap = math.inf  # of the last update advance accepted
 
     def advance(self, points, unwrapped, step_index, dt=None, noise_key=0, depth=0):
         params, domain, sigma = self.params, self.domain, self.sigma
@@ -420,11 +463,13 @@ class _Stepper:
                 return proposal, unwrapped + incr
             gap = _min_gap(proposal, domain)
             if gap >= sigma:
+                self.gap = gap
                 self.min_gap = min(self.min_gap, gap)
                 return proposal, unwrapped + incr
             if self.reflect:
                 resolved = _reflect_hard_core(proposal, domain, sigma)
-                self.min_gap = min(self.min_gap, _min_gap(resolved, domain))
+                self.gap = _min_gap(resolved, domain)
+                self.min_gap = min(self.min_gap, self.gap)
                 return resolved, unwrapped + incr + (resolved - proposal)
         if depth >= 8:
             raise StepRejected("hard-core rejection exhausted retries and halvings")
@@ -435,6 +480,54 @@ class _Stepper:
                                          noise_key * _KEY_BASE + 101, depth + 1)
         return self.advance(points, unwrapped, step_index, half,
                             noise_key * _KEY_BASE + 102, depth + 1)
+
+    def run(self, points, unwrapped, step_index, limit):
+        """Take the longest run of round-key-0 updates that advance would
+        accept at once, from step step_index on: at most limit steps and no
+        further than the memo's noise block. Returns (order, path, track,
+        failed): path and track are (n, k) arrays, k >= 0, of the points and
+        the unwrapped positions after each step of the run, row i holding rod
+        order[i]; failed tells that step step_index + k is one for advance.
+
+        A step joins the run only if its first proposal needs no boundary
+        change (on the torus every rod strictly inside (0, size), in the ball
+        no radius above size) and keeps every gap >= sigma. The proposals and
+        unwrapped positions are then partial sums of the increments, which
+        add.accumulate forms one step after another, as advance does. Rods
+        are taken in their starting order: while each gap in that order is
+        >= sigma the order is the sorted one, so these gaps are _sorted_gap's
+        operands; a step that changes the order ends the run. So every bit
+        is advance's. For a stepper with runs only."""
+        domain, n = self.domain, points.shape[0]
+        first, block = _noise_block(self.seed, step_index, self.streams, 1)
+        noise = block[step_index - first : step_index - first + limit, :, 0]
+        order = np.argsort(points[:, 0])
+        # the points' (top) and the unwrapped positions' (bottom) partial sums
+        sums = np.empty((2 * n, len(noise) + 1))
+        sums[:n, 0], sums[n:, 0] = points[order, 0], unwrapped[order, 0]
+        np.multiply(noise[:, order].T, math.sqrt(self.params.dt), out=sums[:n, 1:])
+        sums[n:, 1:] = sums[:n, 1:]
+        np.add.accumulate(sums, axis=1, out=sums)
+        x = sums[:n, 1:]
+        low, high = x[0], x[-1]
+        # (with no + 0.0 as in _sorted_gap: a zero gap ends the run either way)
+        gap = np.minimum.reduce(x[1:] - x[:-1], axis=0)
+        if domain.geometry == TORUS:
+            ok = (low > 0.0) & (high < domain.size)
+            gap = np.minimum(gap, domain.size - (high - low))
+        elif domain.geometry == BALL:
+            # a radius is monotone in |x|, so a row's ends hold its largest
+            ok = ~((np.sqrt(low * low) > domain.size) | (np.sqrt(high * high) > domain.size))
+        else:
+            ok = True
+        ok &= gap >= self.sigma
+        k = int(ok.argmin())
+        failed = not ok[k]
+        if not failed:
+            k = len(ok)
+        if k:
+            self.min_gap = min(self.min_gap, float(np.minimum.reduce(gap[:k])))
+        return order, x[:, :k], sums[n:, 1 : k + 1], failed
 
 
 def step(state: LabeledState, potentials: PotentialSpec, dt: float, seed: int,
@@ -462,6 +555,14 @@ def _simulate_batch(initials, potentials: PotentialSpec, params: SimParams, seed
     index), with its own diagnostics. The points of all states form one (M, d)
     array: one noise call, one drift and one boundary step per time step
     serve every state. Several states cannot have a hard core (ConfigError).
+
+    One state of 1-d hard rods with no drift steps in runs (_Stepper.run):
+    one pass of numpy calls takes every step up to the first that advance
+    must take, a rejection or a wrap, and that step goes to advance. Such
+    steps are rare for spaced rods, and a pass costs a few single steps.
+    Batches, drifts, d >= 2 hard cores and free particles step one step per
+    pass: a batch of free particles on a torus wraps a point almost every
+    step, so runs would only add passes.
     """
     domain = initials[0].domain
     if any(state.domain != domain for state in initials):
@@ -490,14 +591,37 @@ def _simulate_batch(initials, potentials: PotentialSpec, params: SimParams, seed
     block = np.empty((max(1, min(n_steps, _TRACK_NUMBERS // max(1, m * d))), m, d))
     due = steps.tolist()
     snap, run_max = 1, running_max[0]
+    use_run = stepper.runs
     for first in range(1, n_steps + 1, len(block)):
         stop, first_snap = min(first + len(block), n_steps + 1), snap
-        for row, step_index in enumerate(range(first, stop)):
+        step_index = first
+        while step_index < stop:
+            if use_run:
+                order, path, track, failed = stepper.run(points, unwrapped, step_index,
+                                                         stop - step_index)
+                k = path.shape[1]
+                if k:
+                    row = step_index - first
+                    block[row : row + k, order, 0] = track.T
+                    last = snap + int(np.searchsorted(steps[snap:], step_index + k))
+                    positions[snap:last, order, 0] = path[:, steps[snap:last] - step_index].T
+                    points, unwrapped = np.empty_like(points), block[row + k - 1].copy()
+                    points[order, 0] = path[:, -1]
+                    snap = last
+                    step_index += k
+                use_run = not failed  # a failed step goes to advance
+                continue
+            redraws = stepper.redraws
             points, unwrapped = stepper.advance(points, unwrapped, step_index)
-            block[row] = unwrapped
+            block[step_index - first] = unwrapped
             if step_index == due[snap]:
                 positions[snap] = points
                 snap += 1
+            step_index += 1
+            # rejections come in bursts: the step after a redraw goes to
+            # advance too, and so does one from a gap below run_gap
+            use_run = (stepper.runs and stepper.redraws == redraws
+                       and stepper.gap >= stepper.run_gap)
         moved = block[: stop - first]
         np.subtract(moved, start, out=moved)
         disp = np.sqrt(np.sum(np.square(moved, out=moved), axis=2))

@@ -37,31 +37,54 @@ def _float_text(codec: str, value: float) -> str:
     return field % (value if as_text is None else as_text(value))
 
 
-def _encoded(codec: str, layout, rows) -> str:
+def _encoded(codec: str, layout, rows, tail=None) -> str:
     """Text of the float rows, each row one group of lines: a line per
-    (prefix, count) item of layout, holding the row's next count values. One
-    %-template is built for a row and formatted over all rows at once."""
+    (prefix, count) item of layout, holding the row's next count values. With
+    tail = (prefix, texts), each group ends with a line of prefix and the
+    row's ready texts, texts holding one row per row. One %-template is built
+    for a row and formatted over all rows at once."""
     field, as_text, _ = _FLOAT_CODECS[codec]
     template = "".join(prefix + " ".join([field] * count) + "\n" for prefix, count in layout)
-    values = np.asarray(rows, dtype=np.float64).ravel().tolist()
-    return template * len(rows) % tuple(values if as_text is None else map(as_text, values))
+    values = np.asarray(rows, dtype=np.float64)
+    if as_text is not None:
+        values = np.frompyfunc(as_text, 1, 1)(values)
+    if tail is not None:
+        prefix, texts = tail
+        template += prefix + " ".join(["%s"] * texts.shape[1]) + "\n"
+        values = np.concatenate([values.astype(object), texts], axis=1)
+    return template * len(rows) % tuple(values.ravel().tolist())
 
 
-def _decoded(decode, texts: list[str]) -> np.ndarray | None:
+def _distinct_texts(codec: str, values: np.ndarray) -> np.ndarray:
+    """Object array of the texts of the float64 values, in their shape, each
+    distinct bit pattern formatted once: -0.0 and NaN payloads keep their
+    own texts."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.uint64),
+                              return_inverse=True)
+    texts = np.array([_float_text(codec, v) for v in bits.view(np.float64).tolist()],
+                     dtype=object)
+    return texts[inverse].reshape(values.shape)
+
+
+def _decoded(decode, texts: list[str], distinct: bool = False) -> np.ndarray | None:
     """The texts decoded into one float64 array, or None when one does not
-    decode."""
+    decode; with distinct, each distinct text is decoded once."""
     try:
+        if distinct:
+            table = {text: decode(text) for text in dict.fromkeys(texts)}
+            return np.fromiter(map(table.__getitem__, texts), np.float64, len(texts))
         return np.fromiter(map(decode, texts), np.float64, len(texts))
     except ValueError:
         return None
 
 
-def _decoded_rows(decode, lines: list[str], width: int) -> np.ndarray | None:
+def _decoded_rows(decode, lines: list[str], width: int,
+                  distinct: bool = False) -> np.ndarray | None:
     """(len(lines), width) float64 array of lines of `width` whitespace-split
     texts each, or None when a line holds another count or a text does not
-    decode. The lines are split as one text with a ';' line between each two:
-    as ';' never decodes, the ';'s falling every width + 1 texts means that
-    each line held width texts."""
+    decode (distinct as for _decoded). The lines are split as one text with a
+    ';' line between each two: as ';' never decodes, the ';'s falling every
+    width + 1 texts means that each line held width texts."""
     if not lines:
         return np.empty((0, width))
     texts = "\n;\n".join(lines).split()
@@ -69,7 +92,7 @@ def _decoded_rows(decode, lines: list[str], width: int) -> np.ndarray | None:
     if len(texts) != len(lines) * (width + 1) - 1 or marks.count(";") != len(marks):
         return None
     del texts[width :: width + 1]
-    values = _decoded(decode, texts)
+    values = _decoded(decode, texts, distinct)
     return None if values is None else values.reshape(len(lines), width)
 
 
@@ -157,11 +180,12 @@ def write_trajectory(traj: Trajectory, path, coord_format: str = "decimal") -> N
     buf.write("\n")
     frames, n, d = traj.positions.shape
     layout = [("time=", 1)] + [("", d)] * n
-    columns = [traj.times.reshape(frames, 1), traj.positions.reshape(frames, n * d)]
-    if traj.running_max is not None:
-        layout.append(("runmax ", n))
-        columns.append(traj.running_max)
-    buf.write(_encoded(coord_format, layout, np.concatenate(columns, axis=1)))
+    rows = np.concatenate([traj.times.reshape(frames, 1), traj.positions.reshape(frames, n * d)],
+                          axis=1)
+    # a running max is a step function of time: few distinct values
+    tail = (None if traj.running_max is None
+            else ("runmax ", _distinct_texts(coord_format, traj.running_max)))
+    buf.write(_encoded(coord_format, layout, rows, tail))
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 
@@ -204,7 +228,7 @@ def _read_blocks(body: list[str], first: int, last: int, n: int, d: int, decode)
     if (not truncated and tails.size in (0, starts.size)
             and not any(map(str.strip, lines_at(gaps)))):
         values = (_decoded(decode, times), _decoded_rows(decode, coords, d),
-                  _decoded_rows(decode, runmax, n))
+                  _decoded_rows(decode, runmax, n, distinct=True))
         if all(v is not None for v in values):
             return (values[0], values[1].reshape(starts.size, n, d),
                     values[2] if tails.size else None)

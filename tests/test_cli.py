@@ -10,7 +10,14 @@ import pytest
 
 from ibmsim import pipelines
 from ibmsim.cli import main
-from ibmsim.persistence import config_sha256, read_configuration, read_trajectory
+from ibmsim.configuration import Domain
+from ibmsim.dynamics import SimParams, Trajectory
+from ibmsim.persistence import (
+    config_sha256,
+    read_configuration,
+    read_trajectory,
+    write_trajectory,
+)
 from ibmsim.pipelines import DEFAULT_CONFIGS
 
 BASE_CONFIG = """
@@ -353,6 +360,29 @@ class TestAnalyze:
                      "--out", out, "--in", traj_path]) == 0
         lines = [l for l in open(out) if not l.startswith("#")]
         assert lines[0].startswith("t\t")
+
+    def test_explosion_report_bytes_on_edge_values(self, tmp_path):
+        # the report's text of signed zeros, infinities, nan and the floats
+        # where repr switches to exponents
+        times = np.array([-0.0, 0.0, 1e-5, 1e16, np.inf, -np.inf, np.nan])
+        # two replicas of one rod: the running max passes bound 3.0 in the
+        # first at times[2] and in the second at times[4]
+        paths = []
+        for k, running_max in enumerate(([0.0, 1.0, 3.5, 3.5, 3.5, 3.5, 3.5],
+                                         [0.0, 0.0, 0.0, 2.0, 4.0, 4.0, 4.0])):
+            traj = Trajectory(times=times, positions=np.full((7, 1, 1), 0.5),
+                              domain=Domain(1, "torus", 8.0), params=SimParams(),
+                              running_max=np.array(running_max)[:, None])
+            paths.append(str(tmp_path / f"edge{k}.traj"))
+            write_trajectory(traj, paths[-1])
+        cfg = tmp_path / "explosion.cfg"
+        cfg.write_text("[analysis]\nr = 10.0\nbound = 3.0\n")
+        out = tmp_path / "explosion.tsv"
+        assert main(["analyze", "--kind", "explosion", "--config", str(cfg),
+                     "--out", str(out), "--in", *paths]) == 0
+        body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert body == ["t\tfraction_exceeding", "-0.0\t0.0", "0.0\t0.0", "1e-05\t0.5",
+                        "1e+16\t0.5", "inf\t1.0", "-inf\t1.0", "nan\t1.0"]
 
 
 class TestCheckForms:

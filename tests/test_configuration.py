@@ -13,7 +13,10 @@ from ibmsim.configuration import (
     LabeledState,
     _ALL_PAIRS_CACHED,
     _all_pairs,
+    _close_pairs,
     _min_gap,
+    _tree,
+    _tree_pairs,
     falling_factorial,
     iota,
     iota_inverse,
@@ -187,6 +190,37 @@ class TestConfiguration:
             assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
             assert not i.flags.writeable and not j.flags.writeable
         assert _all_pairs(5) is _all_pairs(5)
+
+    @staticmethod
+    def lexsorted_pairs(points, domain, radius):
+        """The tree's pairs ordered by a two-key lexsort, kept as the
+        reference for _close_pairs' one sort of the keys i * n + j."""
+        half = _tree_pairs(_tree(points, domain), radius)
+        i, j = np.concatenate([half, half[:, ::-1]]).T
+        order = np.lexsort((j, i))
+        return i[order], j[order]
+
+    @given(d=st.integers(1, 3), geometry=st.sampled_from(["torus", "free"]),
+           n=st.integers(2, 400), radius=st.sampled_from([1e-9, 0.3, 1.0, 2.5]),
+           coincident=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_close_pairs_equal_the_lexsorted_pairs(self, d, geometry, n, radius, coincident,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        dom = Domain(d, geometry, 8.0)
+        pts = rng.uniform(0.0 if geometry == "torus" else -8.0, 8.0, size=(n, d))
+        for _ in range(min(coincident, n - 1)):  # repeated rows pair at distance 0
+            pts[rng.integers(n)] = pts[rng.integers(n)]
+        got, want = _close_pairs(pts, dom, radius), self.lexsorted_pairs(pts, dom, radius)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_close_pairs_with_no_pair_in_radius(self):
+        dom = Domain(2, "torus", 8.0)
+        pts = np.array([[0.5, 0.5], [4.0, 4.0], [7.0, 1.0]])
+        got, want = _close_pairs(pts, dom, 0.1), self.lexsorted_pairs(pts, dom, 0.1)
+        for a, b in zip(got, want):
+            assert a.size == 0 and a.dtype == b.dtype and a.shape == b.shape
 
     def test_same_points_is_order_free(self):
         a = free1d([2.0, -1.0, 0.5])

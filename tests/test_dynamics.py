@@ -19,7 +19,7 @@ from ibmsim.dynamics import (
     simulate_k_labeled,
     step,
 )
-from ibmsim.errors import ConfigError, Overlap
+from ibmsim.errors import ConfigError, Overlap, StepRejected
 from ibmsim.potentials import PotentialSpec
 
 
@@ -607,6 +607,163 @@ class TestPinnedPaths:
         if case == "halvings":
             assert diag["step_halvings"] > 0
         assert trajectory_digest(traj) == digest
+
+
+def per_step_reference(state, pot, params):
+    """times, positions, running max and diagnostics of a loop that calls
+    _Stepper.advance every step and reduces the running max each step: the
+    reference for the runs that 1-d hard rods step in."""
+    stepper = dynamics._Stepper(state.domain, pot, params, [len(state)], [params.seed], [None])
+    n_steps = int(round(params.t_end / params.dt))
+    steps = np.unique(np.append(np.arange(0, n_steps + 1, params.stride), n_steps))
+    due = set(steps.tolist())
+    points = unwrapped = start = state.points
+    run_max = np.zeros(len(state))
+    positions, running_max = [points], [run_max]
+    for step_index in range(1, n_steps + 1):
+        points, unwrapped = stepper.advance(points, unwrapped, step_index)
+        disp = np.sqrt(np.sum(np.square(unwrapped - start), axis=1))
+        run_max = np.maximum(disp, run_max)
+        if step_index in due:
+            positions.append(points)
+            running_max.append(run_max)
+    diagnostics = {"capped_forces": 0, "step_halvings": stepper.halvings,
+                   "noise_redraws": stepper.redraws, "min_pair_gap": stepper.min_gap}
+    return steps * params.dt, np.array(positions), np.array(running_max), diagnostics
+
+
+def outcome(run, *args):
+    """run(*args), or the type and message of the StepRejected it raises."""
+    try:
+        return run(*args)
+    except StepRejected as exc:
+        return type(exc), str(exc)
+
+
+class TestRuns:
+    """One state of drift-free 1-d hard rods steps in runs of accepted steps
+    (_Stepper.run); every bit of the path, its running max and diagnostics is
+    the per-step loop's."""
+
+    SIGMA = 0.3
+
+    @staticmethod
+    def rods(geometry, n, spacing, slack, offset, edge):
+        """n rods spacing apart in a domain of length n * spacing * slack;
+        edge puts the first rod at the low end or the last just below (on
+        the torus) or at (in the ball) the high end."""
+        length = n * spacing * slack
+        low, high = {"torus": (0.0, np.nextafter(length, 0.0)),
+                     "ball": (-length / 2, length / 2), "free": (-1.0, 1.0)}[geometry]
+        x = low + offset + np.arange(n) * spacing
+        if edge == "low":
+            x = low + np.arange(n) * spacing
+        elif edge == "high":
+            x = high - np.arange(n)[::-1] * spacing
+        size = {"torus": length, "ball": length / 2, "free": length}[geometry]
+        return LabeledState(x[:, None], Domain(1, geometry, size))
+
+    @staticmethod
+    def simulate_counting(state, pot, params):
+        """simulate, and the number of steps it gave to advance."""
+        calls = []
+        advance = dynamics._Stepper.advance
+
+        def counting(self, points, unwrapped, step_index, dt=None, *args):
+            if dt is None:
+                calls.append(step_index)
+            return advance(self, points, unwrapped, step_index, dt, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics._Stepper, "advance", counting)
+            traj = outcome(simulate, state, pot, params)
+        return traj, len(calls)
+
+    def assert_matches_reference(self, state, params):
+        pot = PotentialSpec(psi="hard_core", hard_core_diameter=self.SIGMA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # halvings warn
+            want = outcome(per_step_reference, state, pot, params)
+            traj, advanced = self.simulate_counting(state, pot, params)
+        if isinstance(want[0], type):
+            assert traj == want
+            return None
+        times, positions, running_max, diagnostics = want
+        assert_same_bits(traj.times, times)
+        assert_same_bits(traj.positions, positions)
+        assert_same_bits(traj.running_max, running_max)
+        assert traj.diagnostics == diagnostics
+        return advanced
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_keep_the_per_step_bits(self, data):
+        geometry = data.draw(st.sampled_from(["torus", "free", "ball"]))
+        n = data.draw(st.integers(2, 10))
+        # from dense packings, which force redraws and halvings, to loose ones
+        spacing = self.SIGMA * data.draw(st.sampled_from([1.02, 1.1, 1.5, 3.0]))
+        state = self.rods(geometry, n, spacing, data.draw(st.sampled_from([1.0, 1.4, 3.0])),
+                          data.draw(st.floats(0.0, spacing / 2)),
+                          data.draw(st.sampled_from([None, "low", "high"])))
+        # up to 700 steps: across noise blocks (64 steps) and, from 6 rods
+        # on, across running-max blocks (4096 numbers)
+        n_steps = data.draw(st.integers(1, 700))
+        dt = data.draw(st.sampled_from([1e-4, 1e-3, 4e-3]))
+        params = SimParams(dt=dt, t_end=n_steps * dt, seed=data.draw(st.integers(0, 2**32)),
+                           stride=data.draw(st.integers(1, 13)),
+                           hard_core_mode=data.draw(st.sampled_from(["reject", "reflect"])),
+                           max_retries=data.draw(st.sampled_from([2, 3, 20])))
+        self.assert_matches_reference(state, params)
+
+    @pytest.mark.parametrize("geometry", ["torus", "free", "ball"])
+    def test_runs_are_taken_across_blocks(self, geometry):
+        # 2 rods keep 2048 steps in a running-max block; 2300 steps cross it
+        state = self.rods(geometry, 2, 1.0, 2.0, 0.2, None)
+        n_steps = 2300
+        params = SimParams(dt=1e-3, t_end=n_steps * 1e-3, seed=3, stride=7)
+        advanced = self.assert_matches_reference(state, params)
+        assert advanced < n_steps // 4
+
+    def test_dense_rods_halve_steps_in_both_routes(self):
+        state = self.rods("torus", 10, self.SIGMA * 1.5, 1.0, 0.0, "low")
+        params = SimParams(dt=4e-3, t_end=0.5, seed=12, stride=3, max_retries=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            diagnostics = simulate(state, PotentialSpec(psi="hard_core",
+                                                        hard_core_diameter=self.SIGMA),
+                                   params).diagnostics
+        assert diagnostics["step_halvings"] > 0
+        self.assert_matches_reference(state, params)
+
+    @pytest.mark.xfail(strict=True, raises=StepRejected,
+                       reason="ROADMAP direction 1: pairwise reflection cycles on criterion "
+                              "10's torus; the Harris-map resolution is to end the cycle")
+    def test_reflect_mode_on_criterion_10_torus(self):
+        state = LabeledState(np.arange(6)[:, None] * 2.0, Domain(1, "torus", 12.0))
+        pot = PotentialSpec(psi="hard_core", hard_core_diameter=0.5)
+        simulate(state, pot, SimParams(dt=1e-3, t_end=1.0, seed=7129, hard_core_mode="reflect"))
+
+    def test_reflect_cycle_fails_at_the_per_step_step(self):
+        # the run path hands the same steps to advance, so a failure, if
+        # any, comes at the same step and with the same message
+        state = LabeledState(np.arange(6)[:, None] * 2.0, Domain(1, "torus", 12.0))
+        pot = PotentialSpec(psi="hard_core", hard_core_diameter=0.5)
+        params = SimParams(dt=1e-3, t_end=1.0, seed=7129, hard_core_mode="reflect")
+        failing = []
+        advance = dynamics._Stepper.advance
+
+        def recording(self, points, unwrapped, step_index, *args):
+            failing[:] = [step_index]
+            return advance(self, points, unwrapped, step_index, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics._Stepper, "advance", recording)
+            got = outcome(simulate, state, pot, params), list(failing)
+            want = outcome(per_step_reference, state, pot, params), list(failing)
+        if isinstance(want[0][0], type):
+            assert got == want
+        else:
+            assert_same_bits(got[0].positions, want[0][1])
 
 
 class TestSimParams:

@@ -212,15 +212,25 @@ class TestTrajectoryFormat:
         d, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 6))
         frames = data.draw(st.integers(1, 6))
         mode = data.draw(st.sampled_from(["decimal", "hex"]))
-        runmax = data.draw(st.booleans())
+        runmax = data.draw(st.sampled_from([None, "any", "steps"]))
+        if runmax == "steps":
+            # a step function of time, as a running max is: few distinct
+            # values, among them 0.0 and -0.0
+            values = np.array([0.0, -0.0] + data.draw(st.lists(PATH_FLOATS, max_size=3)))
+            picks = data.draw(hnp.arrays(np.intp, (frames, n),
+                                         elements=st.integers(0, values.size - 1)))
+            running_max = values[np.sort(picks, axis=0)]
+        elif runmax == "any":
+            running_max = data.draw(hnp.arrays(np.float64, (frames, n), elements=PATH_FLOATS))
+        else:
+            running_max = None
         traj = Trajectory(
             times=data.draw(hnp.arrays(np.float64, frames, elements=PATH_FLOATS)),
             positions=data.draw(hnp.arrays(np.float64, (frames, n, d), elements=PATH_FLOATS)),
             domain=Domain(d, "torus", 5.0),
             params=SimParams(),
             n_tagged=data.draw(st.integers(1, 6)),
-            running_max=(data.draw(hnp.arrays(np.float64, (frames, n), elements=PATH_FLOATS))
-                         if runmax else None),
+            running_max=running_max,
         )
         path = tmp_path_factory.mktemp("traj") / "run.traj"
         write_trajectory(traj, path, coord_format=mode)
