@@ -4,6 +4,13 @@ Gaussians, compactly supported bumps) that carry analytic gradients. The
 analytic route is the oracle the finite-difference form evaluators are
 checked against.
 
+Every cylinder function evaluates a batch of B configurations in one call,
+`values(xs (B, k, d), ptss (B, m, d)) -> (B,)`, and states its formula there
+once; `value(x, pts)` is `values` on a batch of one, so entry b of a batch
+has the bits of `value(xs[b], ptss[b])`. A statistic takes one smooth-block
+call over the rows of the whole batch and one exact `math.fsum` per
+configuration.
+
 Smooth blocks evaluate a whole (n, d) point array in one call (`values`,
 `gradients`); the one-point `value` and `gradient` are that call on a single
 row, so every row has the bits of the one-point route. Two numpy shortcuts
@@ -21,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .configuration import _all_pairs
+from .errors import KMismatch
 
 
 def _as_rows(pts, d: int) -> np.ndarray:
@@ -28,11 +36,15 @@ def _as_rows(pts, d: int) -> np.ndarray:
     return np.asarray(pts, dtype=float).reshape(-1, d)
 
 
-def row_dots(a: np.ndarray) -> np.ndarray:
-    """a[i] @ a[i] for every row of a (n, d) array, bitwise."""
-    if a.shape[1] == 1:
-        return (a * a).reshape(-1)  # one product: no order of addition to keep
-    return np.matmul(a[:, None, :], a[:, :, None]).reshape(-1)
+def row_dots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """a[i] @ b[i], b defaulting to a, for every row of (n, d) arrays, bitwise."""
+    if b is None:
+        if a.shape[1] == 1:
+            return (a * a).reshape(-1)  # one product: no order of addition to keep
+        b = a
+    # a dot product adds from +0.0, so a lone product -0.0 comes out +0.0: only
+    # a * a, never -0.0, may skip it
+    return np.matmul(a[:, None, :], b[:, :, None]).reshape(-1)
 
 
 class SmoothMap:
@@ -116,7 +128,8 @@ class Gaussian(SmoothMap):
 
     def _values(self, diff):
         scale = 2.0 * self.width**2
-        return np.array([self.amplitude * math.exp(-q / scale) for q in row_dots(diff).tolist()])
+        qs = row_dots(diff).tolist()
+        return np.fromiter((self.amplitude * math.exp(-q / scale) for q in qs), float, len(qs))
 
     def gradients(self, pts):
         diff = _as_rows(pts, self.d) - self.center
@@ -140,8 +153,8 @@ class Bump(SmoothMap):
         return self._values(self._u(_as_rows(pts, self.d)))
 
     def _values(self, us):
-        return np.array([0.0 if u >= 1.0 else self.amplitude * math.exp(1.0 - 1.0 / (1.0 - u))
-                         for u in us])
+        return np.fromiter((0.0 if u >= 1.0 else self.amplitude * math.exp(1.0 - 1.0 / (1.0 - u))
+                            for u in us), float, len(us))
 
     def gradients(self, pts):
         pts = _as_rows(pts, self.d)
@@ -175,10 +188,27 @@ def _no_tagged(x, d: int) -> np.ndarray:
     return np.zeros_like(np.atleast_2d(x)) if np.size(x) else np.zeros((0, d))
 
 
+def _batch_of_one(a, d: int) -> np.ndarray:
+    """One configuration's rows as a float (1, n, d) batch."""
+    return np.asarray(a, dtype=float).reshape(1, -1, d)
+
+
+def _fsum_rows(vals: np.ndarray) -> np.ndarray:
+    """Exact sum of each row of a (B, n) array (slices of one flat list: a
+    list per row would hold a batch's rows twice over)."""
+    b, n = vals.shape
+    if n == 0:
+        return np.zeros(b)
+    flat = vals.ravel().tolist()
+    return np.fromiter((math.fsum(flat[i:i + n]) for i in range(0, b * n, n)), float, b)
+
+
 class CylinderFunction:
     """Base class; value(x, pts) with x (k, d) tagged and pts (m, d) background.
 
-    Subclasses built from smooth blocks also provide the analytic
+    Subclasses define `values(xs (B, k, d), ptss (B, m, d)) -> (B,)` over a
+    batch of configurations; `value` is that call on a batch of one. Those
+    built from smooth blocks also provide the analytic
     `grads(x, pts) -> (tagged (k, d), background (m, d))`; the
     finite-difference route in `forms` never uses it.
     """
@@ -186,8 +216,11 @@ class CylinderFunction:
     k: int = 0
     d: int = 1
 
-    def value(self, x: np.ndarray, pts: np.ndarray) -> float:
+    def values(self, xs, ptss) -> np.ndarray:
         raise NotImplementedError
+
+    def value(self, x, pts) -> float:
+        return float(self.values(_batch_of_one(x, self.d), _batch_of_one(pts, self.d))[0])
 
     def grads(self, x, pts) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -217,8 +250,8 @@ class Constant(CylinderFunction):
         self.d = d
         self.k = k
 
-    def value(self, x, pts):
-        return self.c
+    def values(self, xs, ptss):
+        return np.full(len(xs), self.c)
 
     @property
     def background_exchangeable(self) -> bool:
@@ -237,8 +270,10 @@ class LinearStatistic(CylinderFunction):
         self.phi = phi
         self.d = phi.d
 
-    def value(self, x, pts):
-        return math.fsum(self.phi.values(pts).tolist())
+    def values(self, xs, ptss):
+        ptss = np.asarray(ptss, dtype=float)
+        b, m = ptss.shape[:2]
+        return _fsum_rows(self.phi.values(ptss.reshape(b * m, self.d)).reshape(b, m))
 
     def grads(self, x, pts):
         return _no_tagged(x, self.d), self.phi.gradients(pts)
@@ -257,10 +292,11 @@ class PairStatistic(CylinderFunction):
         self.phi = phi
         self.d = phi.d
 
-    def value(self, x, pts):
-        pts = _as_rows(pts, self.d)
-        i, j = _all_pairs(pts.shape[0])
-        return 0.5 * math.fsum(self.phi.values(pts[i] - pts[j]).tolist())
+    def values(self, xs, ptss):
+        ptss = np.asarray(ptss, dtype=float)
+        i, j = _all_pairs(ptss.shape[1])
+        diffs = (ptss[:, i] - ptss[:, j]).reshape(-1, self.d)
+        return 0.5 * _fsum_rows(self.phi.values(diffs).reshape(len(ptss), len(i)))
 
     @property
     def background_exchangeable(self) -> bool:
@@ -289,8 +325,8 @@ class TaggedFunction(CylinderFunction):
         self.k = k
         self.d = d
 
-    def value(self, x, pts):
-        return self.psi.value(np.asarray(x, dtype=float).reshape(self.k * self.d))
+    def values(self, xs, ptss):
+        return self.psi.values(np.asarray(xs, dtype=float).reshape(len(xs), self.k * self.d))
 
     @property
     def background_exchangeable(self) -> bool:
@@ -308,8 +344,8 @@ class CylSum(CylinderFunction):
         self.k = max(a.k, b.k)
         self.d = a.d
 
-    def value(self, x, pts):
-        return self.a.value(x, pts) + self.b.value(x, pts)
+    def values(self, xs, ptss):
+        return self.a.values(xs, ptss) + self.b.values(xs, ptss)
 
     @property
     def background_exchangeable(self) -> bool:
@@ -325,8 +361,8 @@ class CylScale(CylinderFunction):
         self.a, self.c = a, c
         self.k, self.d = a.k, a.d
 
-    def value(self, x, pts):
-        return self.c * self.a.value(x, pts)
+    def values(self, xs, ptss):
+        return self.c * self.a.values(xs, ptss)
 
     @property
     def background_exchangeable(self) -> bool:
@@ -343,8 +379,8 @@ class CylProduct(CylinderFunction):
         self.k = max(a.k, b.k)
         self.d = a.d
 
-    def value(self, x, pts):
-        return self.a.value(x, pts) * self.b.value(x, pts)
+    def values(self, xs, ptss):
+        return self.a.values(xs, ptss) * self.b.values(xs, ptss)
 
     @property
     def background_exchangeable(self) -> bool:
@@ -365,8 +401,9 @@ class CylCompose(CylinderFunction):
         self.outer_prime = outer_prime
         self.k, self.d = inner.k, inner.d
 
-    def value(self, x, pts):
-        return float(self.outer(self.inner.value(x, pts)))
+    def values(self, xs, ptss):
+        return np.array([float(self.outer(v)) for v in self.inner.values(xs, ptss).tolist()],
+                        dtype=float)
 
     @property
     def background_exchangeable(self) -> bool:
@@ -380,7 +417,8 @@ class CylCompose(CylinderFunction):
 
 class Evaluator(CylinderFunction):
     """Black-box cylinder function from a bare evaluator (no analytic route;
-    may depend on the order of the background rows)."""
+    may depend on the order of the background rows). It sees one
+    configuration at a time, so `values` loops over the batch."""
 
     def __init__(self, fn: Callable, k: int, d: int):
         self.fn = fn
@@ -390,11 +428,14 @@ class Evaluator(CylinderFunction):
     def value(self, x, pts):
         return float(self.fn(x, pts))
 
+    def values(self, xs, ptss):
+        return np.array([self.value(x, pts) for x, pts in zip(xs, ptss)], dtype=float)
+
 
 def tensor_product(phi: SmoothMap, f: CylinderFunction) -> CylinderFunction:
     """(phi tensor f)(x, s) = phi(x) f(s) for a 1-tagged slot."""
     if f.k != 0:
-        raise ValueError("tensor_product expects an unlabeled cylinder function")
+        raise KMismatch(f"tensor_product expects an unlabeled cylinder function, got k = {f.k}")
     psi = TaggedFunction(phi, k=1, d=phi.d)
     return CylProduct(psi, f)
 

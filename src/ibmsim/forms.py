@@ -8,6 +8,12 @@ contraction. Gradients are central finite differences; analytic gradients of
 the cylinder library serve as the independent oracle in tests. A form of f
 with itself computes f's gradients once.
 
+Every evaluation goes through the batched `CylinderFunction.values`: a
+finite-difference gradient stacks its +-h stencil, 2(k+m)d configurations,
+into one call; D its 2d shifted copies; symmetrize its assignments; and the
+product-formula check evaluates each group of samples with the same point
+count as one batch. Each entry keeps the bits of the one-configuration call.
+
 Symmetrization over m <= EXACT_CAP points averages over all m! assignments
 of the points to the k tagged slots and the background; for a
 background-exchangeable function it evaluates only the m!/(m-k)! ordered
@@ -60,30 +66,31 @@ def _tag_of(x, d: int) -> np.ndarray:
     return x.reshape(-1, d)
 
 
-def _central_diff(value_at, arr, h: float) -> np.ndarray:
-    """Central-difference gradient of value_at(arr) in every entry of arr."""
-    arr = np.atleast_2d(arr)
-    grad = np.zeros_like(arr)
-    work = arr.copy()
-    for i in range(arr.shape[0]):
-        for a in range(arr.shape[1]):
-            orig = work[i, a]
-            work[i, a] = orig + h
-            up = value_at(work)
-            work[i, a] = orig - h
-            down = value_at(work)
-            work[i, a] = orig
-            grad[i, a] = (up - down) / (2.0 * h)
-    return grad
+def _fd_grads_batch(f: CylinderFunction, xs: np.ndarray, ptss: np.ndarray, h: float):
+    """Central-difference gradients of f at each of B configurations, as
+    (tagged (B, k, d), background (B, m, d)), from one `values` call over
+    every configuration's +-h stencil: copy [b, 0, e] has flat entry e of
+    configuration b raised by h, copy [b, 1, e] has it lowered by h."""
+    arr = np.concatenate([xs, ptss], axis=1)
+    b, n, d = arr.shape
+    k, e = xs.shape[1], n * d
+    stack = np.repeat(arr.reshape(b, 1, 1, e), 2 * e, axis=2).reshape(b, 2, e, e)
+    diag = np.arange(e)
+    stack[:, 0, diag, diag] = arr.reshape(b, e) + h
+    stack[:, 1, diag, diag] = arr.reshape(b, e) - h
+    stack = stack.reshape(b * 2 * e, n, d)
+    vals = f.values(stack[:, :k], stack[:, k:]).reshape(b, 2, e)
+    grad = ((vals[:, 0] - vals[:, 1]) / (2.0 * h)).reshape(b, n, d)
+    return grad[:, :k], grad[:, k:]
 
 
 def fd_grads(f: CylinderFunction, x, pts, h: float = DEFAULT_STEP):
     """Central-difference gradients (tagged (k, d), background (m, d)): one
-    pass over the stacked tagged and background coordinates."""
-    k = len(x)
-    both = _central_diff(lambda work: f.value(work[:k], work[k:]),
-                         np.concatenate([x, pts]), h)
-    return both[:k], both[k:]
+    `values` call over the +-h stencil of the stacked tagged and background
+    coordinates."""
+    pts = np.asarray(pts, dtype=float)
+    tagged, background = _fd_grads_batch(f, _tag_of(x, pts.shape[1])[None], pts[None], h)
+    return tagged[0], background[0]
 
 
 def _grads_of(f: CylinderFunction, g: CylinderFunction, x, pts, h: float,
@@ -120,18 +127,25 @@ def gamma_k(f: CylinderFunction, g: CylinderFunction, x, config,
     return 0.5 * float(np.sum(tf * tg)) + 0.5 * float(np.sum(pf * pg))
 
 
+def _D_batch(f: CylinderFunction, xs: np.ndarray, ptss: np.ndarray, h: float) -> np.ndarray:
+    """D f at each of B configurations, (B, d), from one `values` call over
+    the 2d shifted copies of every background."""
+    b, m, d = ptss.shape
+    shifts = np.zeros((d, 1, d))
+    shifts[np.arange(d), 0, np.arange(d)] = h
+    moved = np.concatenate([ptss[:, None] + shifts, ptss[:, None] - shifts], axis=1)
+    vals = f.values(np.repeat(xs, 2 * d, axis=0), moved.reshape(b * 2 * d, m, d))
+    vals = vals.reshape(b, 2, d)
+    return (vals[:, 0] - vals[:, 1]) / (2.0 * h)
+
+
 def D_operator(f: CylinderFunction, config, x=None, h: float = DEFAULT_STEP) -> np.ndarray:
     """Translation generator: derivative of the simultaneous shift of all
     background points, one component per axis."""
     pts = _points_of(config)
     d = pts.shape[1]
     tag = _tag_of(x if x is not None else np.zeros((0, d)), d)
-    out = np.zeros(d)
-    for a in range(d):
-        shift = np.zeros(d)
-        shift[a] = h
-        out[a] = (f.value(tag, pts + shift) - f.value(tag, pts - shift)) / (2.0 * h)
-    return out
+    return _D_batch(f, tag[None], pts[None], h)[0]
 
 
 def D_operator_coordinate_sum(f: CylinderFunction, config, x=None,
@@ -143,25 +157,50 @@ def D_operator_coordinate_sum(f: CylinderFunction, config, x=None,
     return fd_grads(f, tag, pts, h)[1].sum(axis=0)
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """np.sum of each (m, d) entry of a (B, m, d) array, bitwise: numpy adds
+    each contiguous row of m*d as it adds one configuration's array."""
+    return a.reshape(len(a), a.shape[1] * a.shape[2]).sum(axis=1)
+
+
+def _gamma_Y_batch(f: CylinderFunction, g: CylinderFunction, ptss: np.ndarray,
+                   h: float) -> np.ndarray:
+    """gamma_Y at each of B backgrounds (B, m, d)."""
+    empty = np.zeros((len(ptss), 0, ptss.shape[2]))
+
+    def parts(fn):
+        return _D_batch(fn, empty, ptss, h), _fd_grads_batch(fn, empty, ptss, h)[1]
+
+    df, gf = parts(f)
+    dg, gg = (df, gf) if g is f else parts(g)
+    return 0.5 * row_dots(df, dg) + 0.5 * _row_sums(gf * gg)
+
+
 def gamma_Y(f: CylinderFunction, g: CylinderFunction, config,
             h: float = DEFAULT_STEP) -> float:
     """Environment form: 1/2 (Df, Dg) plus the unlabeled form."""
     _unlabeled(f, g)
-    df = D_operator(f, config, h=h)
-    dg = df if g is f else D_operator(g, config, h=h)
-    return 0.5 * float(df @ dg) + gamma_unlabeled(f, g, config, h)
+    return float(_gamma_Y_batch(f, g, _points_of(config)[None], h)[0])
+
+
+def _gamma_XY_batch(f: CylinderFunction, g: CylinderFunction, xs: np.ndarray,
+                    ptss: np.ndarray, h: float) -> np.ndarray:
+    """gamma_XY at each of B configurations, xs (B, 1, d) and ptss (B, m, d)."""
+    def parts(fn):
+        tagged, background = _fd_grads_batch(fn, xs, ptss, h)
+        # D minus the gradient in the tagged point
+        return _D_batch(fn, xs, ptss, h) - tagged[:, 0], background
+
+    vf, pf = parts(f)
+    vg, pg = (vf, pf) if g is f else parts(g)
+    return 0.5 * row_dots(vf, vg) + 0.5 * _row_sums(pf * pg)
 
 
 def gamma_XY(f: CylinderFunction, g: CylinderFunction, x, config,
              h: float = DEFAULT_STEP) -> float:
     """Coupled tagged-and-environment form for 1-labeled functions."""
     pts = _points_of(config)
-    tag = _tag_of(x, pts.shape[1])
-    (tf, pf), (tg, pg) = _grads_of(f, g, tag, pts, h, analytic=False)
-    # D minus the gradient in the tagged point
-    vf = D_operator(f, pts, tag, h) - tf[0]
-    vg = vf if g is f else D_operator(g, pts, tag, h) - tg[0]
-    return 0.5 * float(vf @ vg) + 0.5 * float(np.sum(pf * pg))
+    return float(_gamma_XY_batch(f, g, _tag_of(x, pts.shape[1])[None], pts[None], h)[0])
 
 
 class _IotaComposed(CylinderFunction):
@@ -172,9 +211,9 @@ class _IotaComposed(CylinderFunction):
         self.k = max(1, f.k)
         self.d = f.d
 
-    def value(self, x, pts):
-        x = np.atleast_2d(x)
-        return self.f.value(x, np.atleast_2d(pts) - x[0])
+    def values(self, xs, ptss):
+        xs = np.asarray(xs, dtype=float)
+        return self.f.values(xs, np.asarray(ptss, dtype=float) - xs[:, :1])
 
     @property
     def background_exchangeable(self) -> bool:
@@ -223,6 +262,16 @@ def quadrature_norms(phi: SmoothMap, radius: float):
     )
 
 
+def _by_point_count(ptss):
+    """(indices, (B, m, d) points) of the point arrays sharing each point
+    count m, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for i, pts in enumerate(ptss):
+        groups.setdefault(pts.shape[0], []).append(i)
+    for idx in groups.values():
+        yield np.array(idx), np.stack([ptss[i] for i in idx])
+
+
 def check_product_formula(phi: Bump, f: CylinderFunction, sampler,
                           n_pointwise: int = 20, n_samples: int = 2000,
                           h: float = 1e-4, seed: int = 0) -> FormReport:
@@ -231,42 +280,44 @@ def check_product_formula(phi: Bump, f: CylinderFunction, sampler,
     cross term integrates to zero over x.
 
     sampler(seed) must return background configurations; x is drawn from the
-    box |x_a| <= phi.radius, outside which the bump phi vanishes.
+    box |x_a| <= phi.radius, outside which the bump phi vanishes. Samples
+    with the same point count are evaluated as one batch; a NaN residual is
+    the maximum.
     """
     if f.k != 0:
-        raise ValueError("product formula needs an unlabeled cylinder function")
+        raise KMismatch(f"product formula needs an unlabeled cylinder function, got k = {f.k}")
     d = phi.d
     radius = phi.radius
     rng = np.random.default_rng(seed)
     pf = tensor_product(phi, f)
 
-    max_resid = 0.0
-    for i in range(n_pointwise):
-        config = sampler(seed * 92821 + i)
-        pts = config.points
-        x = rng.uniform(-radius, radius, size=(1, d))
-        lhs = gamma_XY(pf, pf, x, pts, h)
-        fval = f.value(np.zeros((0, d)), pts)
-        df = D_operator(f, pts, h=h)
-        gphi = phi.gradient(x[0])
-        rhs = (
-            phi.value(x[0]) ** 2 * gamma_Y(f, f, pts, h)
-            + 0.5 * float(gphi @ gphi) * fval**2
-            - phi.value(x[0]) * float(gphi @ df) * fval
-        )
-        max_resid = max(max_resid, abs(lhs - rhs))
+    ptss = [sampler(seed * 92821 + i).points for i in range(n_pointwise)]
+    xs = rng.uniform(-radius, radius, size=(n_pointwise, 1, d))
+    resid = np.empty(n_pointwise)
+    for idx, batch in _by_point_count(ptss):
+        empty = np.zeros((len(idx), 0, d))
+        gphi = phi.gradients(xs[idx, 0])
+        # Python floats: an array's `**` squares by multiplying, not by the
+        # scalar pow of the one-sample expression
+        rows = zip(_gamma_XY_batch(pf, pf, xs[idx], batch, h).tolist(),
+                   _gamma_Y_batch(f, f, batch, h).tolist(), f.values(empty, batch).tolist(),
+                   phi.values(xs[idx, 0]).tolist(), row_dots(gphi).tolist(),
+                   row_dots(gphi, _D_batch(f, empty, batch, h)).tolist())
+        resid[idx] = [abs(lhs - (pv**2 * gy + 0.5 * gg * fv**2 - pv * gd * fv))
+                      for lhs, gy, fv, pv, gg, gd in rows]
+    max_resid = float(np.max(resid, initial=0.0))  # np.max keeps a NaN
 
     # integrated identity: paired sampling, x uniform over the support box
     norm_sq, grad_norm_sq = quadrature_norms(phi, radius)
     volume = (2.0 * radius) ** d
+    ptss = [sampler(seed * 15485863 + 7 + i).points for i in range(n_samples)]
+    xs = rng.uniform(-radius, radius, size=(n_samples, 1, d))
     lhs, rhs = np.empty(n_samples), np.empty(n_samples)
-    for i in range(n_samples):
-        config = sampler(seed * 15485863 + 7 + i)
-        pts = config.points
-        x = rng.uniform(-radius, radius, size=(1, d))
-        lhs[i] = volume * gamma_XY(pf, pf, x, pts, h)
-        fval = f.value(np.zeros((0, d)), pts)
-        rhs[i] = norm_sq * gamma_Y(f, f, pts, h) + 0.5 * grad_norm_sq * fval**2
+    for idx, batch in _by_point_count(ptss):
+        lhs[idx] = volume * _gamma_XY_batch(pf, pf, xs[idx], batch, h)
+        fval = f.values(np.zeros((len(idx), 0, d)), batch)
+        rhs[idx] = [norm_sq * gy + 0.5 * grad_norm_sq * fv**2
+                    for gy, fv in zip(_gamma_Y_batch(f, f, batch, h).tolist(), fval.tolist())]
     z, se = paired_z(lhs, rhs)
     return FormReport(
         "product-formula",
@@ -303,6 +354,32 @@ def _tuple_perms(m: int, k: int):
         yield tup + tuple(i for i in range(m) if i not in tup)
 
 
+def _symmetrize_batch(h_fn: CylinderFunction, tags: np.ndarray, ptss: np.ndarray) -> list:
+    """symmetrize at each of B configurations, tags (B, k, d) and ptss
+    (B, n, d), from one `values` call over every assignment of every one."""
+    b, k, d = tags.shape
+    m = k + ptss.shape[1]
+    perms, repeats = _exact_perms(m, "exact symmetrization"), 1
+    if h_fn.background_exchangeable:
+        perms, repeats = _tuple_perms(m, k), math.factorial(m - k)
+    sel = np.array([list(perm) for perm in perms], dtype=np.intp)  # m = 0: one empty row
+    n_sel = sel.shape[0]
+    q = np.concatenate([tags, ptss], axis=1)[:, sel]
+    rows = h_fn.values(q[:, :, :k].reshape(b * n_sel, k, d),
+                       q[:, :, k:].reshape(b * n_sel, m - k, d)).reshape(b, n_sel)
+    out = []
+    for vals in rows.tolist():
+        first = vals[0]
+        if all(v == first for v in vals):
+            # already symmetric: averaging identical values must return them bitwise
+            out.append(first)
+        else:
+            # repeat rather than multiply: v * (m-k)! would round
+            out.append(math.fsum(itertools.chain.from_iterable(
+                itertools.repeat(v, repeats) for v in vals)) / math.factorial(m))
+    return out
+
+
 def symmetrize(h_fn: CylinderFunction, x, config) -> float:
     """Average of h over all m! assignments of the m = k + |s| points to the
     tagged slots and the background, for m <= EXACT_CAP.
@@ -311,29 +388,25 @@ def symmetrize(h_fn: CylinderFunction, x, config) -> float:
     tuples only, each value fed to the exact fsum (m-k)! times: the multiset
     summed, and so the result, is bitwise that of all m! assignments."""
     pts = _points_of(config)
-    tag = _tag_of(x, pts.shape[1])
-    k = tag.shape[0]
-    m = k + pts.shape[0]
-    perms, repeats = _exact_perms(m, "exact symmetrization"), 1
-    if h_fn.background_exchangeable:
-        perms, repeats = _tuple_perms(m, k), math.factorial(m - k)
-    vals = [h_fn.value(t, b) for _, t, b in _assignments(tag, pts, perms)]
-    first = vals[0]
-    if all(v == first for v in vals):
-        # already symmetric: averaging identical values must return them bitwise
-        return first
-    # repeat rather than multiply: v * (m-k)! would round
-    return math.fsum(itertools.chain.from_iterable(
-        itertools.repeat(v, repeats) for v in vals)) / math.factorial(m)
+    return _symmetrize_batch(h_fn, _tag_of(x, pts.shape[1])[None], pts[None])[0]
 
 
 class _Symmetrized(CylinderFunction):
+    """h symmetrized. `grads` memoises h's gradients at each arrangement of
+    the point multiset it last saw (at most m! of them), keyed by the
+    arrangement's bytes: the energy of every assignment of one multiset then
+    takes h's gradients once per arrangement, and adds them in the same
+    order as without the memo."""
+
     def __init__(self, h_fn: CylinderFunction):
         self.h_fn = h_fn
         self.k, self.d = h_fn.k, h_fn.d
+        self._multiset = None
+        self._memo: dict[bytes, np.ndarray] = {}
 
-    def value(self, x, pts):
-        return symmetrize(self.h_fn, x, pts)
+    def values(self, xs, ptss):
+        return np.array(_symmetrize_batch(self.h_fn, np.asarray(xs, dtype=float),
+                                          np.asarray(ptss, dtype=float)), dtype=float)
 
     @property
     def background_exchangeable(self) -> bool:
@@ -345,9 +418,15 @@ class _Symmetrized(CylinderFunction):
         k = tag.shape[0]
         m = k + pts.shape[0]
         perms = _exact_perms(m, "exact symmetrization")
+        multiset = (k, sorted(row.tobytes() for row in np.concatenate([tag, pts])))
+        if multiset != self._multiset:
+            self._multiset, self._memo = multiset, {}
         out = np.zeros((m, pts.shape[1]))
         for sel, t, b in _assignments(tag, pts, perms):
-            out[sel] += np.concatenate(self.h_fn.grads(t, b), axis=0)
+            key = t.tobytes() + b.tobytes()  # the arrangement's bytes
+            if key not in self._memo:
+                self._memo[key] = np.concatenate(self.h_fn.grads(t, b), axis=0)
+            out[sel] += self._memo[key]
         out /= math.factorial(m)
         return out[:k], out[k:]
 

@@ -444,3 +444,41 @@ class TestStationarityConstantShift:
         result = run_pipeline("thm27-environment", MINI_CONFIGS["thm27-environment"])
         row = {r.check: r for r in result.rows}["environment-stationarity-z-free"]
         assert not row.passed and row.value > 1e6
+
+
+THM27_TWO_ARMS = """\
+[pipeline]
+name = thm27-environment
+seed = 2
+replicas = 3
+interacting_replicas = 2
+intensity = 1.0
+activity = 1.0
+domain_size = 6.0
+dt = 1e-3
+t_end = 0.01
+stride = 5
+psi_strength = 0.6
+psi_range = 0.7
+burn_in = 40
+"""
+
+
+class TestThm27ArmSeeds:
+    @pytest.mark.xfail(strict=True, reason="both arms integrate replica r with seed "
+                       "seed*104729 + r; ROADMAP direction 6 gives every child seed one "
+                       "rule, a declared stream change")
+    def test_arms_integrate_with_disjoint_seeds(self, monkeypatch):
+        import ibmsim.pipelines as pipelines
+
+        seen = []
+        simulate_batch = pipelines._simulate_batch
+
+        def spy(states, pot, params, seeds):
+            seen.append([int(s) for s in seeds])
+            return simulate_batch(states, pot, params, seeds)
+
+        monkeypatch.setattr(pipelines, "_simulate_batch", spy)
+        run_pipeline("thm27-environment", THM27_TWO_ARMS)
+        assert len(seen) == 2
+        assert not set(seen[0]) & set(seen[1])

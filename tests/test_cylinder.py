@@ -4,19 +4,35 @@ The reference functions below are the per-point formulas the library used
 before smooth blocks evaluated whole point arrays; every batched row must
 carry their bits exactly (compared as raw bytes, so signed zeros count)."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ibmsim.configuration import _all_pairs
 from ibmsim.cylinder import (
     Bump,
+    Constant,
+    CylCompose,
+    CylProduct,
+    CylScale,
+    CylSum,
+    Evaluator,
     Gaussian,
     LinearStatistic,
     PairStatistic,
     Polynomial,
     SmoothProduct,
+    TaggedFunction,
+    random_cylinder,
+    random_smooth,
+    tensor_product,
 )
+from ibmsim.errors import KMismatch
+from ibmsim.forms import _IotaComposed, _Symmetrized, compose_iota, symmetrized
 
 
 # ---------------------------------------------------------------- references
@@ -217,3 +233,111 @@ class TestStatisticsKeepTheirBits:
                 assert same_bits(f.value(empty, empty), 0.0)
                 assert same_bits(f.grads(empty, empty)[1], np.zeros((0, d)))
             assert same_bits(PairStatistic(phi).value(empty, np.ones((1, d))), 0.0)
+
+
+# ------------------------------------------------- batches of configurations
+
+def ref_cyl_value(f, x, pts):
+    """The one-configuration formulas `value` had before cylinder functions
+    evaluated batches."""
+    d = f.d
+    x = np.asarray(x, dtype=float).reshape(-1, d)
+    pts = np.asarray(pts, dtype=float).reshape(-1, d)
+    if isinstance(f, Constant):
+        return f.c
+    if isinstance(f, LinearStatistic):
+        return math.fsum(f.phi.values(pts).tolist())
+    if isinstance(f, PairStatistic):
+        i, j = _all_pairs(pts.shape[0])
+        return 0.5 * math.fsum(f.phi.values(pts[i] - pts[j]).tolist())
+    if isinstance(f, TaggedFunction):
+        return f.psi.value(x.reshape(f.k * d))
+    if isinstance(f, CylSum):
+        return ref_cyl_value(f.a, x, pts) + ref_cyl_value(f.b, x, pts)
+    if isinstance(f, CylScale):
+        return f.c * ref_cyl_value(f.a, x, pts)
+    if isinstance(f, CylProduct):
+        return ref_cyl_value(f.a, x, pts) * ref_cyl_value(f.b, x, pts)
+    if isinstance(f, CylCompose):
+        return float(f.outer(ref_cyl_value(f.inner, x, pts)))
+    if isinstance(f, Evaluator):
+        return float(f.fn(x, pts))
+    if isinstance(f, _IotaComposed):
+        return ref_cyl_value(f.f, x, pts - x[0])
+    if isinstance(f, _Symmetrized):
+        # every one of the m! assignments, as symmetrize's short route sums
+        k = x.shape[0]
+        stacked = np.concatenate([x, pts])
+        vals = [ref_cyl_value(f.h_fn, stacked[list(p)][:k], stacked[list(p)][k:])
+                for p in itertools.permutations(range(stacked.shape[0]))]
+        if all(v == vals[0] for v in vals):
+            return vals[0]
+        return math.fsum(vals) / len(vals)
+    raise TypeError(f)
+
+
+def first_background(x, pts):
+    """Order-dependent evaluator: reads the first background row."""
+    return float(pts[0, 0]) if len(pts) else 0.25 * float(np.sum(x))
+
+
+def batch_functions(rng, k, d):
+    """Every kind of cylinder function, with the tagged count each takes."""
+    return [
+        (random_cylinder(rng, k, d), k),
+        (PairStatistic(random_smooth(rng, d)), k),
+        (PairStatistic(Bump(1.2, d, amplitude=float(rng.normal()))), k),
+        (Constant(float(rng.normal()), d, k=k), k),
+        (3.0 * random_cylinder(rng, k, d), k),
+        (compose_iota(random_cylinder(rng, k, d)), max(1, k)),
+        (symmetrized(random_cylinder(rng, k, d)), k),
+        (Evaluator(first_background, k=k, d=d), k),
+        (symmetrized(Evaluator(first_background, k=k, d=d)), k),
+    ]
+
+
+def batch_of(rng, b, k, m, d):
+    return rng.uniform(-1, 1, size=(b, k, d)), rng.uniform(-1.5, 1.5, size=(b, m, d))
+
+
+class TestBatchedValuesKeepTheirBits:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 2), d=st.integers(1, 2),
+           m=st.integers(0, 6), b=st.integers(0, 5))
+    def test_values_equal_per_configuration_value(self, seed, k, d, m, b):
+        rng = np.random.default_rng(seed)
+        for f, k_f in batch_functions(rng, k, d):
+            if isinstance(f, _Symmetrized) and k_f + m > 5:
+                continue  # the reference takes all (k + m)! assignments: keep it quick
+            xs, ptss = batch_of(rng, b, k_f, m, d)
+            got = f.values(xs, ptss)
+            assert got.shape == (b,)
+            one_at_a_time = np.array([f.value(xs[i], ptss[i]) for i in range(b)])
+            reference = np.array([ref_cyl_value(f, xs[i], ptss[i]) for i in range(b)])
+            assert same_bits(got, one_at_a_time)
+            assert same_bits(got, reference)
+
+    def test_signed_zeros_and_coincident_rows(self):
+        rng = np.random.default_rng(90)
+        for d in (1, 2):
+            for f, k_f in batch_functions(rng, 1, d):
+                xs, ptss = batch_of(rng, 4, k_f, 4, d)
+                ptss[1] = -0.0
+                ptss[2, 1] = ptss[2, 0]
+                xs[3] = 0.0
+                reference = np.array([ref_cyl_value(f, xs[i], ptss[i]) for i in range(4)])
+                assert same_bits(f.values(xs, ptss), reference)
+
+    def test_value_takes_loose_shapes(self):
+        f = LinearStatistic(Gaussian(1.0, [0.1], 0.8)) + TaggedFunction(
+            Gaussian(0.5, [0.2], 1.1), k=1, d=1)
+        assert same_bits(f.value([0.3], [1.0, -0.5]),
+                         ref_cyl_value(f, [[0.3]], [[1.0], [-0.5]]))
+        assert same_bits(f.value([[0.3]], []), ref_cyl_value(f, [[0.3]], np.zeros((0, 1))))
+
+
+class TestTaggedCount:
+    def test_tensor_product_rejects_labeled_function(self):
+        f = TaggedFunction(Gaussian(1.0, [0.0], 1.0), k=1, d=1)
+        with pytest.raises(KMismatch):
+            tensor_product(Bump(1.0, 1), f)

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from ibmsim import pipelines
+from ibmsim.analysis import paired_z
 from ibmsim.configuration import Configuration, Domain
 from ibmsim.cylinder import (
     Bump,
@@ -24,10 +26,12 @@ from ibmsim.errors import KMismatch, TooManyPoints
 from ibmsim.forms import (
     D_operator,
     D_operator_coordinate_sum,
+    FormReport,
     check_iota_identity,
     check_product_formula,
     compose_iota,
     exchange_energy,
+    fd_grads,
     gamma_XY,
     gamma_Y,
     gamma_k,
@@ -36,6 +40,7 @@ from ibmsim.forms import (
     symmetrize,
     symmetrized,
 )
+from ibmsim.pipelines import run_pipeline
 from ibmsim.pointprocess import make_poisson_sampler
 
 
@@ -466,3 +471,256 @@ class TestFormsKeepTheirBits:
         parts = [np.array(form_values(rng, d)).tobytes() for d in (1, 2) for _ in range(4)]
         digest = hashlib.sha256(b"".join(parts)).hexdigest()
         assert digest == "d6b943b441a27838494d79e1c7199ee8f98eebf795e890ba156c46bc2453351b"
+
+
+# -------------------------------------- batched routes against their loops
+
+def ref_central_diff(value_at, arr, h):
+    """Central-difference gradient, one entry and two evaluations at a time."""
+    arr = np.atleast_2d(arr)
+    grad = np.zeros_like(arr)
+    work = arr.copy()
+    for i in range(arr.shape[0]):
+        for a in range(arr.shape[1]):
+            orig = work[i, a]
+            work[i, a] = orig + h
+            up = value_at(work)
+            work[i, a] = orig - h
+            down = value_at(work)
+            work[i, a] = orig
+            grad[i, a] = (up - down) / (2.0 * h)
+    return grad
+
+
+def ref_fd_grads(f, x, pts, h=1e-5):
+    k = len(x)
+    both = ref_central_diff(lambda work: f.value(work[:k], work[k:]),
+                            np.concatenate([x, pts]), h)
+    return both[:k], both[k:]
+
+
+def ref_D_operator(f, pts, x, h=1e-5):
+    """D one axis at a time."""
+    d = pts.shape[1]
+    out = np.zeros(d)
+    for a in range(d):
+        shift = np.zeros(d)
+        shift[a] = h
+        out[a] = (f.value(x, pts + shift) - f.value(x, pts - shift)) / (2.0 * h)
+    return out
+
+
+def bits_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStencilBatchesKeepTheirBits:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fd_grads_and_D_equal_their_loops(self, k, d):
+        rng = np.random.default_rng(800 + 10 * k + d)
+        for m in range(0, 6):
+            x = rng.uniform(-1, 1, size=(k, d))
+            pts = rng.uniform(-1.5, 1.5, size=(m, d))
+            if m > 1:
+                pts[1] = -0.0
+            for f in (random_cylinder(rng, k, d), PairStatistic(random_smooth(rng, d)),
+                      compose_iota(random_cylinder(rng, k, d)) if k else Constant(0.3, d),
+                      Evaluator(lambda x, pts: float(np.sum(np.sin(pts[:1]))), k=k, d=d)):
+                for h in (1e-5, 1e-4):
+                    got, want = fd_grads(f, x, pts, h), ref_fd_grads(f, x, pts, h)
+                    assert bits_equal(got[0], want[0]) and bits_equal(got[1], want[1])
+                    assert bits_equal(D_operator(f, pts, x, h), ref_D_operator(f, pts, x, h))
+
+
+def counting_sampler(d):
+    """Background of seed % 10 points: every batch size from 0 to 9, so m = 0
+    and m * d >= 8, where numpy's pairwise sum unrolls, both occur."""
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        return Configuration(rng.uniform(-2.0, 2.0, size=(seed % 10, d)),
+                             Domain(d, "free", 10.0))
+    return draw
+
+
+def ref_check_product_formula(phi, f, sampler, n_pointwise, n_samples, h, seed):
+    """check_product_formula one sample at a time."""
+    d = phi.d
+    radius = phi.radius
+    rng = np.random.default_rng(seed)
+    pf = tensor_product(phi, f)
+    max_resid = 0.0
+    for i in range(n_pointwise):
+        pts = sampler(seed * 92821 + i).points
+        x = rng.uniform(-radius, radius, size=(1, d))
+        lhs = gamma_XY(pf, pf, x, pts, h)
+        fval = f.value(np.zeros((0, d)), pts)
+        df = D_operator(f, pts, h=h)
+        gphi = phi.gradient(x[0])
+        rhs = (phi.value(x[0]) ** 2 * gamma_Y(f, f, pts, h)
+               + 0.5 * float(gphi @ gphi) * fval**2
+               - phi.value(x[0]) * float(gphi @ df) * fval)
+        max_resid = max(max_resid, abs(lhs - rhs))
+    norm_sq, grad_norm_sq = quadrature_norms(phi, radius)
+    volume = (2.0 * radius) ** d
+    lhs, rhs = np.empty(n_samples), np.empty(n_samples)
+    for i in range(n_samples):
+        pts = sampler(seed * 15485863 + 7 + i).points
+        x = rng.uniform(-radius, radius, size=(1, d))
+        lhs[i] = volume * gamma_XY(pf, pf, x, pts, h)
+        fval = f.value(np.zeros((0, d)), pts)
+        rhs[i] = norm_sq * gamma_Y(f, f, pts, h) + 0.5 * grad_norm_sq * fval**2
+    z, se = paired_z(lhs, rhs)
+    return max_resid, {"mc_z": z, "mc_mean_diff": float(np.mean(lhs - rhs)), "mc_se": se}
+
+
+class TestProductFormulaBatches:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", [2, 11])
+    def test_report_equals_per_sample_loop(self, d, seed):
+        rng = np.random.default_rng(seed)
+        phi = Bump(1.3, d, amplitude=1.1)
+        sampler = counting_sampler(d)
+        for f in (LinearStatistic(Gaussian(0.8, [0.5] * d, 0.9)),
+                  PairStatistic(random_smooth(rng, d, "gauss")),
+                  random_cylinder(rng, 0, d)):
+            report = check_product_formula(phi, f, sampler, n_pointwise=12, n_samples=30,
+                                           h=1e-4, seed=seed)
+            max_resid, extra = ref_check_product_formula(phi, f, sampler, 12, 30, 1e-4, seed)
+            assert bits_equal(report.max_residual, max_resid)
+            assert sorted(report.extra) == sorted(extra)
+            for key, value in extra.items():
+                assert bits_equal(report.extra[key], value), key
+            assert (report.n_samples, report.h) == (42, 1e-4)
+
+    def test_labeled_function_raises_k_mismatch(self):
+        f = TaggedFunction(Gaussian(1.0, [0.0], 1.0), k=1, d=1)
+        with pytest.raises(KMismatch):
+            check_product_formula(Bump(1.0, 1), f, counting_sampler(1), n_pointwise=1,
+                                  n_samples=2)
+
+
+def ref_symmetrized_grads(h_fn, x, pts):
+    """_Symmetrized.grads without its memo: h's gradients at every assignment."""
+    k = x.shape[0]
+    stacked = np.concatenate([x, pts])
+    m = stacked.shape[0]
+    out = np.zeros((m, pts.shape[1]))
+    for perm in itertools.permutations(range(m)):
+        sel = np.asarray(perm, dtype=np.intp)
+        q = stacked[sel]
+        out[sel] += np.concatenate(h_fn.grads(q[:k], q[k:]), axis=0)
+    out /= math.factorial(m)
+    return out[:k], out[k:]
+
+
+def ref_symmetrized_energy(h_fn, x, pts):
+    """exchange_energy(symmetrized(h), analytic=True) through the reference
+    gradients."""
+    k = x.shape[0]
+    stacked = np.concatenate([x, pts])
+    total = []
+    for perm in itertools.permutations(range(stacked.shape[0])):
+        q = stacked[list(perm)]
+        tf, pf = ref_symmetrized_grads(h_fn, q[:k], q[k:])
+        total.append(0.5 * float(np.sum(tf * tf)) + 0.5 * float(np.sum(pf * pf)))
+    return math.fsum(total) / len(total)
+
+
+class TestSymmetrizedGradientMemo:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_energy_equals_memo_free_route(self, k, d):
+        rng = np.random.default_rng(900 + 10 * k + d)
+        for m in range(max(k, 1), 5):
+            h_fn = random_cylinder(rng, k, d)
+            x = rng.uniform(-1, 1, size=(k, d))
+            pts = rng.uniform(-1.5, 1.5, size=(m - k, d))
+            if m - k > 1:
+                pts[1] = pts[0]  # a repeated point: arrangements that coincide
+            assert same_bits(exchange_energy(symmetrized(h_fn), x, pts, analytic=True),
+                             ref_symmetrized_energy(h_fn, x, pts))
+
+    def test_memo_holds_one_multiset(self):
+        rng = np.random.default_rng(950)
+        sym = symmetrized(random_cylinder(rng, 1, 1))
+        for m in (3, 4, 2):
+            x = rng.uniform(-1, 1, size=(1, 1))
+            pts = rng.uniform(-1.5, 1.5, size=(m - 1, 1))
+            exchange_energy(sym, x, pts, analytic=True)
+            multiset = np.sort(np.concatenate([x, pts]), axis=0)
+            assert 0 < len(sym._memo) <= math.factorial(m)
+            for key in sym._memo:
+                arranged = np.frombuffer(key).reshape(m, 1)
+                assert np.array_equal(np.sort(arranged, axis=0), multiset)
+            grads = sym.grads(x, pts)
+            want = ref_symmetrized_grads(sym.h_fn, x, pts)
+            assert bits_equal(grads[0], want[0]) and bits_equal(grads[1], want[1])
+
+
+# ----------------------------------------------- NaN residuals fail their rows
+
+def nan_on_second(fn):
+    """fn, except that its second call returns NaN in place of fn's result."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        out = fn(*args, **kwargs)
+        if len(calls) != 2:
+            return out
+        if isinstance(out, FormReport):
+            out.max_residual = math.nan
+            return out
+        return math.nan
+    return wrapped
+
+
+FORMS_MINI = """\
+[pipeline]
+name = forms-suite
+seed = 5
+iota_pairs = 3
+iota_h = 1e-4
+iota_threshold = 1e-5
+pointwise_samples = 2
+mc_samples = 20
+product_h = 1e-4
+product_threshold = 1e-5
+oracle_samples = 3
+oracle_threshold = 1e-6
+contraction_instances = 1
+idempotence_max_points = 5
+"""
+
+
+class TestNaNResidualsFail:
+    def test_product_pointwise_nan_is_the_maximum(self):
+        def marked_sampler(seed):
+            # the second pointwise sample carries a point at 3, where f is NaN
+            pts = [[0.5], [3.0 if seed == 1 else -0.5]]
+            return Configuration(pts, Domain(1, "free", 10.0))
+
+        def f_of(x, pts):
+            return math.nan if np.any(np.abs(pts - 3.0) < 0.1) else float(np.sum(np.sin(pts)))
+
+        f = Evaluator(f_of, k=0, d=1)
+        report = check_product_formula(Bump(1.0, 1), f, marked_sampler, n_pointwise=3,
+                                       n_samples=2, seed=0)
+        assert math.isnan(report.max_residual)
+
+    def test_oracle_nan_fails_its_row(self, monkeypatch):
+        # calls alternate finite-difference and analytic: the second is the
+        # first sample's analytic form
+        monkeypatch.setattr(pipelines, "gamma_k", nan_on_second(pipelines.gamma_k))
+        rows = {r.check: r for r in run_pipeline("forms-suite", FORMS_MINI).rows}
+        row = rows["gamma-oracle-max-rel-err"]
+        assert math.isnan(row.value) and not row.passed
+
+    def test_iota_nan_fails_its_row(self, monkeypatch):
+        monkeypatch.setattr(pipelines, "check_iota_identity",
+                            nan_on_second(pipelines.check_iota_identity))
+        rows = {r.check: r for r in run_pipeline("forms-suite", FORMS_MINI).rows}
+        row = rows["iota-identity-max-residual"]
+        assert math.isnan(row.value) and not row.passed
