@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import gammaln, log_ndtr
 
 from .configuration import BALL, Configuration, KLabeledState, _all_pairs, falling_factorial, kappa
+from .dynamics import PURPOSES, child_seeds
 from .errors import InsufficientSamples
 
 _SE_FLOOR_REL = 1e-9  # paired z-scores: identical routes differ only by float noise
@@ -272,8 +273,8 @@ def pushforward_check(sampler, r: float, k: int, n_cap: int, replicas: int,
     rng = np.random.default_rng(seed)
     lhs = np.zeros(replicas)
     rhs = np.zeros(replicas)
-    for i in range(replicas):
-        config = sampler(seed * 69_061 + i)
+    for i, draw_seed in enumerate(child_seeds(seed, PURPOSES["pushforward"], replicas)):
+        config = sampler(draw_seed)
         dom = config.domain
         dist = dom.distance(config.points, np.zeros(dom.dimension))
         inside = np.nonzero(dist < r)[0]

@@ -230,8 +230,7 @@ def cmd_check_forms(args) -> int:
     if args.identity in ("iota", "all"):
         reports.append(iota_sweep(np.random.default_rng(args.seed), args.samples, args.h))
     if args.identity in ("product", "all"):
-        reports.append(product_check(args.seed + 1, args.seed, min(args.samples, 200),
-                                     args.samples, args.h))
+        reports.append(product_check(args.seed, min(args.samples, 200), args.samples, args.h))
     if not reports:
         raise ConfigError(f"unknown identity {args.identity!r}")
     if args.out:
@@ -260,6 +259,13 @@ def cmd_pipeline(args) -> int:
     return 0 if result.passed else 1
 
 
+def _seed(text: str) -> int:
+    """The type of every --seed flag: a non-negative integer."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ibm-sim",
@@ -270,20 +276,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw one configuration from [sampler]")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("simulate", help="integrate the labeled SDE")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="run an estimator or diagnostic")
     p.add_argument("--kind", required=True, choices=ANALYSIS_KINDS)
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--in", dest="inputs", nargs="*", default=[],
                    help="input trajectory files (msd / explosion)")
@@ -295,20 +301,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-4)
     p.add_argument("--config", default=None,
                    help="optional config whose [forms] section overrides the flags")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check_forms)
 
     p = sub.add_parser("check-explosion", help="evaluate the non-explosion criterion")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_check_explosion)
 
     p = sub.add_parser("pipeline", help="run a named experiment pipeline")
     p.add_argument("--name", required=True, choices=PIPELINES)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pipeline)
 

@@ -91,13 +91,29 @@ def _draws(seed, first: int, count: int, labels: np.ndarray, d: int,
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
 
 
-def child_seeds(seed: int, purpose: int, count: int) -> np.ndarray:
-    """uint64 seeds of `count` child streams, child i being one hash of
-    (seed, purpose, i): the children of one (seed, purpose) never repeat, and
-    two purposes share a child only by a 64-bit hash collision."""
+# The one table of seed purposes: every child stream of a run's seed is
+# child_seeds(seed, purpose, count) for a purpose here, or a tuple that starts
+# with one; a sampler seeds each draw with the pair (seed, draw_seed).
+PURPOSES = {
+    "thm27-palm": 0, "thm27-chains": 1,  # thm27's free Palm starts and pinned chains
+    "thm27-free": 2, "thm24": 3, "thm27-interacting": 4,  # integration; thm24 (3, n, arm)
+    "dyson": 5, "ginibre": 6,  # samples
+    "product-check": 7,  # child 0 the sampler seed, child 1 the check seed
+    "product-pointwise": 8, "product-mc": 9, "pushforward": 10,  # draws
+    "palm": 11,  # palm_condition's draws, derived in blocks through `first`
+}
+
+
+def child_seeds(seed: int, purpose, count: int, first: int = 0) -> np.ndarray:
+    """uint64 seeds of children first .. first + count - 1, child i being one
+    hash of (seed, purpose, i); purpose is an int or a tuple of ints, p and
+    (p,) alike. The children of one (seed, purpose) never repeat, and two
+    purposes share a child only by a 64-bit hash collision."""
     with np.errstate(over="ignore"):
-        base = _mix64(_mix64(_seed_words([seed]) + _GOLDEN) ^ (_SALT_ROUND * _U64(purpose + 1)))
-        return _mix64(base + _GOLDEN * np.arange(1, count + 1, dtype=np.uint64))
+        base = _mix64(_seed_words([seed]) + _GOLDEN)
+        for p in purpose if isinstance(purpose, tuple) else (purpose,):
+            base = _mix64(base ^ (_SALT_ROUND * _U64(p + 1)))
+        return _mix64(base + _GOLDEN * np.arange(first + 1, first + count + 1, dtype=np.uint64))
 
 
 def _counter_bits(words: np.ndarray, first: int, steps: int, lanes: int) -> np.ndarray:

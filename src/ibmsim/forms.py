@@ -30,6 +30,7 @@ import numpy as np
 from .analysis import paired_z
 from .configuration import Configuration
 from .cylinder import Bump, CylinderFunction, SmoothMap, row_dots, tensor_product
+from .dynamics import PURPOSES, child_seeds
 from .errors import KMismatch, TooManyPoints
 
 DEFAULT_STEP = 1e-5
@@ -279,7 +280,8 @@ def check_product_formula(phi: Bump, f: CylinderFunction, sampler,
     and the paired Monte Carlo check of its integrated version, in which the
     cross term integrates to zero over x.
 
-    sampler(seed) must return background configurations; x is drawn from the
+    sampler(draw_seed) must return background configurations, drawn at the
+    product-pointwise and product-mc children of seed; x is drawn from the
     box |x_a| <= phi.radius, outside which the bump phi vanishes. Samples
     with the same point count are evaluated as one batch; a NaN residual is
     the maximum.
@@ -291,7 +293,8 @@ def check_product_formula(phi: Bump, f: CylinderFunction, sampler,
     rng = np.random.default_rng(seed)
     pf = tensor_product(phi, f)
 
-    ptss = [sampler(seed * 92821 + i).points for i in range(n_pointwise)]
+    seeds = child_seeds(seed, PURPOSES["product-pointwise"], n_pointwise)
+    ptss = [sampler(s).points for s in seeds]
     xs = rng.uniform(-radius, radius, size=(n_pointwise, 1, d))
     resid = np.empty(n_pointwise)
     for idx, batch in _by_point_count(ptss):
@@ -310,7 +313,7 @@ def check_product_formula(phi: Bump, f: CylinderFunction, sampler,
     # integrated identity: paired sampling, x uniform over the support box
     norm_sq, grad_norm_sq = quadrature_norms(phi, radius)
     volume = (2.0 * radius) ** d
-    ptss = [sampler(seed * 15485863 + 7 + i).points for i in range(n_samples)]
+    ptss = [sampler(s).points for s in child_seeds(seed, PURPOSES["product-mc"], n_samples)]
     xs = rng.uniform(-radius, radius, size=(n_samples, 1, d))
     lhs, rhs = np.empty(n_samples), np.empty(n_samples)
     for idx, batch in _by_point_count(ptss):

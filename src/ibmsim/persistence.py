@@ -422,7 +422,10 @@ def build_potentials(cfg) -> PotentialSpec:
 
 def build_sim_params(cfg, seed: int | None = None) -> SimParams:
     sec = cfg["sim"] if "sim" in cfg else {}
-    return build_spec(SimParams, sec, "[sim]", **({} if seed is None else {"seed": seed}))
+    params = build_spec(SimParams, sec, "[sim]", **({} if seed is None else {"seed": seed}))
+    if params.seed < 0:  # the noise takes any seed mod 2**64, the samplers none below 0
+        raise ConfigError(f"bad [sim]: seed must be non-negative, got {params.seed}")
+    return params
 
 
 def build_sampler(cfg, domain: Domain, seed: int):
@@ -450,7 +453,7 @@ def build_sampler(cfg, domain: Domain, seed: int):
         draw = pp.sample_dyson_sine if kind == "dyson_sine" else pp.sample_ginibre
 
         def sampler(i: int) -> Configuration:
-            return draw(spec, seed * 2_654_435_761 % (2**31) + i)
+            return draw(spec, (seed, i))
 
         return sampler
     raise ConfigError(f"unknown sampler kind {kind!r}")

@@ -28,7 +28,7 @@ from .cylinder import (
     LinearStatistic,
     random_cylinder,
 )
-from .dynamics import SimParams, _simulate_batch, child_seeds
+from .dynamics import PURPOSES, SimParams, _simulate_batch, child_seeds
 from .errors import ConfigError
 from .forms import (
     EXACT_CAP,
@@ -287,8 +287,7 @@ def _run_thm24(cfg, seed: int, extra: dict) -> list[PipelineRow]:
                 ordered = label(start, "distance-from-origin")
                 background = Configuration(ordered.points[k:], dom, validate=False)
                 state = KLabeledState(ordered.points[:k], background)
-            seeds = [seed * 4_000_037 + arm_index * 1_000_003 + n * 101 + rep
-                     for rep in range(replicas)]
+            seeds = child_seeds(seed, (PURPOSES["thm24"], n, arm_index), replicas)
             trajs = _simulate_batch([state] * replicas, pot, params, seeds)
             values = _batch_path_functionals(np.stack([traj.positions for traj in trajs]))
             return np.stack([values[name] for name in names], axis=1)
@@ -344,7 +343,7 @@ def _run_thm27(cfg, seed: int, extra: dict) -> list[PipelineRow]:
     # exact Palm starts at the origin, one child seed of (seed, arm, replica)
     # each: Slivnyak's origin plus a fresh Poisson sample for the free arm,
     # a Gibbs chain with a point pinned at the origin (GNZ) for the other
-    arms = [("free", PotentialSpec(), child_seeds(seed, 0, replicas), None)]
+    arms = [("free", PotentialSpec(), child_seeds(seed, PURPOSES["thm27-palm"], replicas), None)]
     psi_strength = _real(sec, "psi_strength", 0.0)
     if psi_strength > 0:
         n_interacting = (_count(sec, "interacting_replicas", least=2)
@@ -355,7 +354,7 @@ def _run_thm27(cfg, seed: int, extra: dict) -> list[PipelineRow]:
         chain = {"burn_in": 20000, "activity": intensity}
         chain.update({key: sec[key] for key in ("activity", "burn_in") if key in sec})
         spec = build_spec(GibbsSpec, chain, "[pipeline]", potentials=pot)
-        chain_seeds = child_seeds(seed, 1, n_interacting)
+        chain_seeds = child_seeds(seed, PURPOSES["thm27-chains"], n_interacting)
         arms.append(("interacting", pot, chain_seeds,
                      LockstepChains(spec, dom, chain_seeds, pin=origin[0])))
 
@@ -375,7 +374,7 @@ def _run_thm27(cfg, seed: int, extra: dict) -> list[PipelineRow]:
         record["palm_s"] = time.perf_counter() - started
         worst = 0.0
         starts, ends = np.empty(n_reps), np.empty(n_reps)
-        seeds = [seed * 104729 + rep for rep in range(n_reps)]
+        seeds = child_seeds(seed, PURPOSES[f"thm27-{label_name}"], n_reps)
         started = time.perf_counter()
         trajs = _simulate_batch(states, pot, params, seeds)
         record["simulate_s"] = time.perf_counter() - started
@@ -419,7 +418,7 @@ def _run_dyson(cfg, seed: int, extra: dict) -> list[PipelineRow]:
     sec = cfg["pipeline"]
     spec = build_spec(DPPSpec, sec, "[pipeline]", kernel="sine")
     replicas = _count(sec, "replicas")
-    samples = [sample_dyson_sine(spec, seed * 31337 + i) for i in range(replicas)]
+    samples = [sample_dyson_sine(spec, s) for s in child_seeds(seed, PURPOSES["dyson"], replicas)]
     rows = []
 
     tol1 = _real(sec, "rho1_tolerance")
@@ -444,7 +443,7 @@ def _run_ginibre(cfg, seed: int, extra: dict) -> list[PipelineRow]:
     sec = cfg["pipeline"]
     spec = build_spec(DPPSpec, sec, "[pipeline]", kernel="ginibre")
     replicas = _count(sec, "replicas")
-    samples = [sample_ginibre(spec, seed * 27644437 + i) for i in range(replicas)]
+    samples = [sample_ginibre(spec, s) for s in child_seeds(seed, PURPOSES["ginibre"], replicas)]
     tol1 = _real(sec, "rho1_tolerance")
     rho1 = mean_intensity(samples)
     target = 1.0 / math.pi
@@ -494,17 +493,18 @@ def iota_sweep(rng, n_pairs: int, h: float) -> FormReport:
     return worst
 
 
-def product_check(sampler_seed: int, seed: int, n_pointwise: int, n_samples: int,
-                  h: float) -> FormReport:
+def product_check(seed: int, n_pointwise: int, n_samples: int, h: float) -> FormReport:
     """Tensor-product formula, pointwise and integrated, for a bump times a
-    Gaussian linear statistic over Poisson(0.8) on the length-4 torus."""
+    Gaussian linear statistic over Poisson(0.8) on the length-4 torus, the
+    sampler and the check seeded by the two product-check children of seed."""
     if n_pointwise < 1 or n_samples < 2:
         raise ConfigError("the product check needs at least 1 pointwise sample and "
                           f"2 Monte Carlo samples, got {n_pointwise} and {n_samples}")
+    sampler_seed, check_seed = child_seeds(seed, PURPOSES["product-check"], 2)
     sampler = make_poisson_sampler(Domain(1, "torus", 4.0), 0.8, sampler_seed)
     return check_product_formula(
         Bump(1.5, 1), LinearStatistic(Gaussian(0.8, [0.5], 0.9)), sampler,
-        n_pointwise=n_pointwise, n_samples=n_samples, h=h, seed=seed,
+        n_pointwise=n_pointwise, n_samples=n_samples, h=h, seed=check_seed,
     )
 
 
@@ -527,8 +527,7 @@ def _run_forms(cfg, seed: int, extra: dict) -> list[PipelineRow]:
     rows.append(PipelineRow("iota-identity-max-residual", worst, f"< {thr}",
                             worst < thr))
 
-    report = product_check(seed + 13, seed + 29, n_pointwise, n_samples,
-                           _real(sec, "product_h"))
+    report = product_check(seed, n_pointwise, n_samples, _real(sec, "product_h"))
     thr = _real(sec, "product_threshold")
     rows.append(PipelineRow("product-pointwise-max-residual", report.max_residual,
                             f"< {thr}", report.max_residual < thr))
@@ -615,6 +614,8 @@ def run_pipeline(name: str, config_text: str | None = None,
     if "pipeline" not in cfg:
         raise ConfigError("pipeline config needs a [pipeline] section")
     run_seed = seed if seed is not None else cfg["pipeline"].getint("seed", 0)
+    if run_seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {run_seed}")
 
     import time as _time
 

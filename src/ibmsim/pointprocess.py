@@ -29,6 +29,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammainc, gammaincinv, gammaln, xlogy
 
 from .configuration import BALL, TORUS, Configuration, Domain, KLabeledState
+from .dynamics import PURPOSES, _seed_words, child_seeds
 from .errors import AcceptanceTooLow, ConfigError, NonConvergenceWarning, WindowTooLarge
 from .potentials import PotentialSpec
 
@@ -36,6 +37,7 @@ from .potentials import PotentialSpec
 _ACCEPT_LO = 0.05
 # share of Gibbs proposals that move a point; the rest are births or deaths
 _MOVE_FRACTION = 0.5
+_PALM_BLOCK = 64  # palm_condition derives its draw seeds this many at a time
 
 
 @dataclass(frozen=True)
@@ -261,8 +263,6 @@ class LockstepChains:
     _BLOCK_NUMBERS = 1 << 16
 
     def __init__(self, spec: GibbsSpec, domain: Domain, seeds, pin=None):
-        from .dynamics import _seed_words
-
         if domain.geometry != TORUS:
             raise ConfigError("lockstep Gibbs chains need a torus")
         if pin is not None and not domain.contains(pin):
@@ -521,20 +521,19 @@ def palm_condition(sampler, x, delta: float, seed: int,
 
     Draws configurations from `sampler(draw_seed)`, accepts one that has a
     distinct point within delta of every x_i, removes those points and snaps
-    the tagged tuple onto x. The bias of the rejection is O(delta). Draw k
-    is `sampler(seed * max_draws + k)`, so two seeds never share a draw.
+    the tagged tuple onto x. The bias of the rejection is O(delta). The draw
+    seeds are the palm children of seed, derived _PALM_BLOCK at a time,
+    so two seeds share a draw only by a 64-bit hash collision.
     """
     if not delta > 0:
         raise ConfigError("delta must be positive")
-    first = sampler(seed * max_draws)
-    domain = first.domain
     tags = np.atleast_2d(np.asarray(x, dtype=float))
-    if tags.shape[1] != domain.dimension:
-        tags = tags.reshape(-1, domain.dimension)
 
     def try_accept(config):
+        domain = config.domain
+        xs = tags.reshape(-1, domain.dimension)
         taken: list[int] = []
-        for xi in tags:
+        for xi in xs:
             dist = domain.distance(config.points, xi)
             if taken:
                 dist = dist.copy()
@@ -543,15 +542,14 @@ def palm_condition(sampler, x, delta: float, seed: int,
             if j < 0 or dist[j] > delta:
                 return None
             taken.append(j)
-        return KLabeledState(tags, config.without(taken), validate=False)
+        return KLabeledState(xs, config.without(taken), validate=False)
 
-    config = first
-    for draw in range(max_draws):
-        if draw > 0:
-            config = sampler(seed * max_draws + draw)
-        state = try_accept(config)
-        if state is not None:
-            return state
+    for first in range(0, max_draws, _PALM_BLOCK):
+        count = min(_PALM_BLOCK, max_draws - first)
+        for draw_seed in child_seeds(seed, PURPOSES["palm"], count, first):
+            state = try_accept(sampler(draw_seed))
+            if state is not None:
+                return state
     raise AcceptanceTooLow(
         f"no acceptance in {max_draws} draws; delta too small or x atypical"
     )
@@ -569,7 +567,8 @@ def make_gibbs_sampler(spec: GibbsSpec, domain: Domain, seed: int):
 
 
 def make_poisson_sampler(domain: Domain, intensity: float, seed: int):
+    """Sampler: draw_seed -> the Poisson sample seeded with (seed, draw_seed)."""
     def draw(draw_seed: int) -> Configuration:
-        return sample_poisson(domain, intensity, seed * 1_000_003 + draw_seed)
+        return sample_poisson(domain, intensity, (seed, draw_seed))
 
     return draw

@@ -465,9 +465,6 @@ burn_in = 40
 
 
 class TestThm27ArmSeeds:
-    @pytest.mark.xfail(strict=True, reason="both arms integrate replica r with seed "
-                       "seed*104729 + r; ROADMAP direction 6 gives every child seed one "
-                       "rule, a declared stream change")
     def test_arms_integrate_with_disjoint_seeds(self, monkeypatch):
         import ibmsim.pipelines as pipelines
 
@@ -482,3 +479,28 @@ class TestThm27ArmSeeds:
         run_pipeline("thm27-environment", THM27_TWO_ARMS)
         assert len(seen) == 2
         assert not set(seen[0]) & set(seen[1])
+
+
+class TestThm24ArmSeeds:
+    def test_arms_integrate_with_disjoint_seeds(self, monkeypatch):
+        import itertools
+        import re
+
+        import ibmsim.pipelines as pipelines
+
+        seen = []
+        simulate_batch = pipelines._simulate_batch
+
+        def spy(states, pot, params, seeds):
+            seen.append({int(s) for s in seeds})
+            return simulate_batch(states, pot, params, seeds)
+
+        monkeypatch.setattr(pipelines, "_simulate_batch", spy)
+        text = re.sub(r"(?m)^replicas = .*$", "replicas = 600",
+                      pipelines.DEFAULT_CONFIGS["thm24-identity"])
+        assert re.search(r"(?m)^n_values = 3,8$", text) and re.search(r"(?m)^k_values = 1,2$", text)
+        run_pipeline("thm24-identity", text)
+        # N = 3 and N = 8, each with its unlabeled arm and its k = 1 and k = 2 arms
+        assert [len(s) for s in seen] == [600] * 6
+        for a, b in itertools.combinations(seen, 2):
+            assert not a & b

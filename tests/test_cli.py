@@ -12,6 +12,7 @@ from ibmsim import pipelines
 from ibmsim.cli import main
 from ibmsim.configuration import Domain
 from ibmsim.dynamics import SimParams, Trajectory
+from ibmsim.errors import ConfigError
 from ibmsim.persistence import (
     config_sha256,
     read_configuration,
@@ -245,6 +246,41 @@ class TestRejectedRequests:
             text += f"{key} = {value}\n"
         code, err = self.run(tmp_path, capsys, text, "pipeline", "--name", "thm27-environment")
         assert code == 2 and err.startswith("error: bad [pipeline]") and key in err
+
+
+
+class TestNegativeSeeds:
+    """A negative seed is a request error where it enters the program, not a
+    numpy traceback from the first sampler that uses it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--seed", "-1"],
+        ["check-forms", "--seed", "-1"],
+        ["pipeline", "--name", "forms-suite", "--seed", "-5"],
+    ], ids=["sample", "check-forms", "pipeline"])
+    def test_seed_flag_rejected(self, tmp_path, config_file, capsys, argv):
+        if argv[0] == "sample":
+            argv = [*argv, "--config", config_file, "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: argument --seed" in capsys.readouterr().err
+
+    def test_sim_seed_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(BASE_CONFIG.replace("seed = 5", "seed = -3"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad [sim]") and "seed" in err
+
+    def test_pipeline_config_seed_rejected(self, tmp_path, capsys):
+        text = SMALL_FORMS.replace("seed = 99", "seed = -5")
+        path = tmp_path / "forms.cfg"
+        path.write_text(text)
+        assert main(["pipeline", "--name", "forms-suite", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(ConfigError):
+            pipelines.run_pipeline("forms-suite", SMALL_FORMS, seed=-5)
 
 
 class TestThm27GibbsDefaults:
@@ -487,10 +523,10 @@ class TestPipelineCommand:
 
     @pytest.mark.parametrize("name, values, digest", [
         ("thm24-identity", {"replicas": 60},
-         "895383ba8632ce83acd9f09f51cf67fb246d53f64fc7e3fb05c08e36b534dfdb"),
+         "1b07b101e27f7e3a9e9a25f7eba6ae204a0850bdc4f851813b41468ad601aae1"),
         ("thm27-environment",
          {"replicas": 30, "interacting_replicas": 20, "burn_in": 2000},
-         "d638e57515d8a47f0c159e819dbe624493f9ddbb4e28cd7f42c27f759f5ec507"),
+         "835f63f41ae90204d3d832fae40ca0cc15256c8e08e35e64b59c7b05c664fca0"),
     ], ids=["thm24", "thm27"])
     def test_pinned_report_digest(self, tmp_path, name, values, digest):
         # SHA-256 of the reports from the route that ran each replica alone

@@ -862,6 +862,30 @@ class TestSeedPerStream:
             label_noise([1, 2], 1, 3, 1)
 
 
+
+class TestChildSeeds:
+    def test_int_purposes_keep_their_bits(self):
+        assert dynamics.child_seeds(2027, 0, 3).tolist() == [
+            15099945742574519658, 2613231825589261445, 13838301194628640521]
+        assert dynamics.child_seeds(2**64 - 1, 11, 2).tolist() == [
+            8859333987751804285, 11472937596101288861]
+        blob = b"".join(dynamics.child_seeds(s, p, 50).tobytes()
+                        for s in (0, 1, 2027, 2**63) for p in (0, 1, 2, 5, 11))
+        assert hashlib.sha256(blob).hexdigest() == (
+            "1739837b93b4699548911443ff10a6c39a8e40e3e2b64671a666c177a2824ffc")
+
+    def test_tuples_and_first(self):
+        whole = dynamics.child_seeds(7, (3, 8, 1), 10)
+        assert np.array_equal(dynamics.child_seeds(7, (3, 8, 1), 4, first=6), whole[6:])
+        assert np.array_equal(dynamics.child_seeds(7, (5,), 10), dynamics.child_seeds(7, 5, 10))
+        others = [dynamics.child_seeds(7, p, 10) for p in (3, (3, 8), (3, 1, 8), (3, 8, 2))]
+        assert np.unique(np.concatenate([whole, *others])).size == 50
+
+    def test_purpose_table_repeats_no_purpose(self):
+        purposes = list(dynamics.PURPOSES.values())
+        assert sorted(purposes) == list(range(len(purposes)))
+
+
 class TestBatch:
     """_simulate_batch integrates several states as one flat array; each
     state's trajectory carries the bits of its own simulate run."""

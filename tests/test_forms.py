@@ -22,6 +22,7 @@ from ibmsim.cylinder import (
     random_smooth,
     tensor_product,
 )
+from ibmsim.dynamics import child_seeds
 from ibmsim.errors import KMismatch, TooManyPoints
 from ibmsim.forms import (
     D_operator,
@@ -551,8 +552,8 @@ def ref_check_product_formula(phi, f, sampler, n_pointwise, n_samples, h, seed):
     rng = np.random.default_rng(seed)
     pf = tensor_product(phi, f)
     max_resid = 0.0
-    for i in range(n_pointwise):
-        pts = sampler(seed * 92821 + i).points
+    for draw_seed in child_seeds(seed, 8, n_pointwise).tolist():
+        pts = sampler(draw_seed).points
         x = rng.uniform(-radius, radius, size=(1, d))
         lhs = gamma_XY(pf, pf, x, pts, h)
         fval = f.value(np.zeros((0, d)), pts)
@@ -565,8 +566,8 @@ def ref_check_product_formula(phi, f, sampler, n_pointwise, n_samples, h, seed):
     norm_sq, grad_norm_sq = quadrature_norms(phi, radius)
     volume = (2.0 * radius) ** d
     lhs, rhs = np.empty(n_samples), np.empty(n_samples)
-    for i in range(n_samples):
-        pts = sampler(seed * 15485863 + 7 + i).points
+    for i, draw_seed in enumerate(child_seeds(seed, 9, n_samples).tolist()):
+        pts = sampler(draw_seed).points
         x = rng.uniform(-radius, radius, size=(1, d))
         lhs[i] = volume * gamma_XY(pf, pf, x, pts, h)
         fval = f.value(np.zeros((0, d)), pts)
@@ -697,9 +698,12 @@ idempotence_max_points = 5
 
 class TestNaNResidualsFail:
     def test_product_pointwise_nan_is_the_maximum(self):
+        calls = []
+
         def marked_sampler(seed):
             # the second pointwise sample carries a point at 3, where f is NaN
-            pts = [[0.5], [3.0 if seed == 1 else -0.5]]
+            calls.append(seed)
+            pts = [[0.5], [3.0 if len(calls) == 2 else -0.5]]
             return Configuration(pts, Domain(1, "free", 10.0))
 
         def f_of(x, pts):
